@@ -7,26 +7,29 @@
 //! Runs the same batch of independent cell simulations twice — serially and
 //! on `--jobs` worker threads (default 4) — verifies the per-run JSONL
 //! traces are byte-identical, and writes the measured wall-clock times to
-//! `OUT.json` (default `BENCH_harness.json`). The speedup is whatever the
-//! machine actually delivers: on a single-core container it is ~1x, and the
-//! file records the core count so readers can interpret the number.
+//! `OUT.json` (default `BENCH_harness.json`). Without `--runs`/`--secs` it
+//! runs 8 cells of 120 s. The speedup is whatever the machine actually
+//! delivers: on a single-core container it is ~1x, and the file records the
+//! core count so readers can interpret the number.
 
 use std::time::Instant;
 
-use flare_bench::parse_params;
+use flare_bench::parse_params_from;
 use flare_harness::{effective_jobs, run_indexed, serial_parallel_divergence};
 use flare_scenarios::cell::static_run;
+use flare_scenarios::experiments::ExperimentParams;
 use flare_scenarios::SchemeKind;
 use flare_trace::{TraceConfig, TraceHandle};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (mut params, rest) = parse_params(&args);
-    if params.runs == 20 {
-        // Paper-scale defaults are oversized for a harness benchmark.
-        params.runs = 8;
-        params.duration = flare_sim::TimeDelta::from_secs(120);
-    }
+    // Paper-scale defaults are oversized for a harness benchmark.
+    let defaults = ExperimentParams {
+        runs: 8,
+        duration: flare_sim::TimeDelta::from_secs(120),
+        ..ExperimentParams::paper()
+    };
+    let (params, rest) = parse_params_from(defaults, &args);
     let jobs = if params.jobs <= 1 { 4 } else { params.jobs };
     let out = rest
         .first()

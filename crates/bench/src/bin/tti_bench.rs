@@ -1,26 +1,21 @@
 //! Measures end-to-end TTI throughput on the fig6 workload and records it.
 //!
 //! ```text
-//! tti_bench [--runs N] [--secs S] [--seed K] [--jobs J]
-//!           [--baseline TTIS_PER_SEC] [--floor TTIS_PER_SEC]
-//!           [--cells N] [--cell-secs S] [OUT.json]
+//! tti_bench [--runs N] [--secs S] [--seed K]
+//!           [--baseline TTIS_PER_SEC] [--floor TTIS_PER_SEC] [OUT.json]
 //! ```
 //!
 //! The workload is the paper's fig6 static-cell scenario (8 stationary
 //! video UEs under FLARE), run serially: every simulated millisecond is one
 //! `step_tti` plus the full player/controller loop around it, so the number
 //! is an honest end-to-end TTI rate, not a scheduler microbenchmark.
+//! Without `--runs`/`--secs` it measures 4 runs of 30 s.
 //!
 //! * `--baseline X` embeds a previously measured TTIs/sec (e.g. from running
 //!   this binary at the pre-optimization commit) so the output records both
 //!   sides of a before/after comparison.
 //! * `--floor X` exits non-zero when the measured rate falls below `X` —
 //!   the CI perf-smoke gate.
-//! * `--cells N` additionally runs N cells of `--cell-secs` seconds through
-//!   the sharded `MultiCellSim` engine (`--jobs` workers, BAI-barrier
-//!   coordination) and records the aggregate rate — the multi-cell scaling
-//!   demonstration. See `multicell_bench` for the full serial-vs-sharded
-//!   comparison.
 //!
 //! Before measuring, the fig6 run is executed twice at a short duration and
 //! the per-client rate series are compared, so the file never reports a
@@ -28,10 +23,10 @@
 
 use std::time::Instant;
 
-use flare_bench::parse_params;
+use flare_bench::parse_params_from;
 use flare_core::FlareConfig;
 use flare_scenarios::cell::static_run;
-use flare_scenarios::scaling::multi_cell_sweep;
+use flare_scenarios::experiments::ExperimentParams;
 use flare_scenarios::SchemeKind;
 use flare_sim::TimeDelta;
 
@@ -41,17 +36,16 @@ fn scheme() -> SchemeKind {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (mut params, rest) = parse_params(&args);
-    if params.runs == 20 {
-        // Paper-scale defaults are oversized for a TTI throughput probe.
-        params.runs = 4;
-        params.duration = TimeDelta::from_secs(30);
-    }
+    // Paper-scale defaults are oversized for a TTI throughput probe.
+    let defaults = ExperimentParams {
+        runs: 4,
+        duration: TimeDelta::from_secs(30),
+        ..ExperimentParams::paper()
+    };
+    let (params, rest) = parse_params_from(defaults, &args);
 
     let mut baseline: Option<f64> = None;
     let mut floor: Option<f64> = None;
-    let mut cells: Option<usize> = None;
-    let mut cell_secs: u64 = 120;
     let mut out = "BENCH_tti.json".to_owned();
     let mut it = rest.into_iter();
     while let Some(arg) = it.next() {
@@ -63,14 +57,6 @@ fn main() {
             "--floor" => {
                 let v = it.next().expect("--floor needs a TTIs/sec value");
                 floor = Some(v.parse().expect("--floor must be a number"));
-            }
-            "--cells" => {
-                let v = it.next().expect("--cells needs a value");
-                cells = Some(v.parse().expect("--cells must be an integer"));
-            }
-            "--cell-secs" => {
-                let v = it.next().expect("--cell-secs needs a value");
-                cell_secs = v.parse().expect("--cell-secs must be an integer");
             }
             other => out = other.to_owned(),
         }
@@ -100,15 +86,6 @@ fn main() {
     let ttis = params.runs as u64 * params.duration.as_millis();
     let ttis_per_sec = ttis as f64 / wall.as_secs_f64().max(1e-9);
 
-    let sweep = cells.map(|n| {
-        multi_cell_sweep(
-            n,
-            TimeDelta::from_secs(cell_secs),
-            params.seed,
-            params.jobs.max(1),
-        )
-    });
-
     let mut json = format!(
         "{{\n  \"benchmark\": \"fig6 end-to-end TTI throughput\",\n  \
          \"workload\": \"static cell, FLARE, 8 video UEs, serial\",\n  \
@@ -124,22 +101,6 @@ fn main() {
         let speedup = ttis_per_sec / base.max(1e-9);
         json.push_str(&format!(
             ",\n  \"baseline_ttis_per_sec\": {base:.0},\n  \"speedup\": {speedup:.2}"
-        ));
-    }
-    if let Some(s) = &sweep {
-        json.push_str(&format!(
-            ",\n  \"multicell\": {{\n    \"cells\": {},\n    \"cell_secs\": {},\n    \
-             \"jobs\": {},\n    \"coordinated\": {},\n    \"bai_barriers\": {},\n    \
-             \"wall_ms\": {:.1},\n    \"ttis\": {},\n    \
-             \"ttis_per_sec\": {:.0}\n  }}",
-            s.cells,
-            s.duration.as_millis() / 1000,
-            s.jobs,
-            s.coordinated,
-            s.barriers,
-            s.wall.as_secs_f64() * 1000.0,
-            s.ttis,
-            s.ttis_per_sec(),
         ));
     }
     json.push_str("\n}\n");

@@ -24,7 +24,18 @@ use flare_sim::TimeDelta;
 ///
 /// Unrecognized arguments are returned for the caller to interpret.
 pub fn parse_params(args: &[String]) -> (ExperimentParams, Vec<String>) {
-    let mut params = ExperimentParams::paper();
+    parse_params_from(ExperimentParams::paper(), args)
+}
+
+/// [`parse_params`] starting from `defaults` instead of the paper-scale
+/// sizes. The bench binaries pass their own run count and duration here;
+/// `--quick`, `--runs` and `--secs` override them exactly as they override
+/// the paper defaults.
+pub fn parse_params_from(
+    defaults: ExperimentParams,
+    args: &[String],
+) -> (ExperimentParams, Vec<String>) {
+    let mut params = defaults;
     let mut jobs = None;
     let mut rest = Vec::new();
     let mut it = args.iter();
@@ -136,6 +147,24 @@ mod tests {
         assert_eq!(p.testbed_duration, TimeDelta::from_secs(300));
         assert_eq!(p.seed, 9);
         assert_eq!(rest, vec!["all".to_owned()]);
+    }
+
+    #[test]
+    fn bench_defaults_apply_only_when_flags_are_absent() {
+        let defaults = ExperimentParams {
+            runs: 4,
+            duration: TimeDelta::from_secs(30),
+            ..ExperimentParams::paper()
+        };
+        let (p, _) = parse_params_from(defaults, &args(&["--runs", "20", "--secs", "60"]));
+        assert_eq!(p.runs, 20, "an explicit --runs 20 is honoured");
+        assert_eq!(p.duration, TimeDelta::from_secs(60));
+        let (p, _) = parse_params_from(defaults, &args(&["--secs", "60"]));
+        assert_eq!(p.runs, 4, "absent --runs keeps the bench default");
+        assert_eq!(p.duration, TimeDelta::from_secs(60), "--secs is kept");
+        let (p, rest) = parse_params_from(defaults, &args(&["out.json"]));
+        assert_eq!((p.runs, p.duration), (4, TimeDelta::from_secs(30)));
+        assert_eq!(rest, vec!["out.json".to_owned()]);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use flare_has::Level;
 use flare_lte::{FlowClass, FlowId, IntervalReport, Itbs, LinkAdaptation};
 use flare_sim::units::Rate;
 use flare_sim::Time;
-use flare_solver::{round_down, solve_discrete, solve_relaxed, FlowSpec, ProblemSpec, WarmSolver};
+use flare_solver::{round_down, solve_discrete, solve_relaxed, FlowSpec, ProblemSpec};
 use flare_trace::{Category, TraceHandle};
 
 use crate::algorithm::{StabilityFilter, StabilityState};
@@ -59,8 +59,6 @@ pub struct OneApiServer {
     seq: u64,
     /// Clients evicted for prolonged statistics silence (telemetry).
     evicted: u64,
-    /// Exact-mode solver state carried across BAIs (`warm_start`).
-    warm: WarmSolver,
     trace: TraceHandle,
 }
 
@@ -83,7 +81,6 @@ impl OneApiServer {
             last_solve_time: None,
             seq: 0,
             evicted: 0,
-            warm: WarmSolver::new(),
             trace: TraceHandle::disabled(),
         }
     }
@@ -406,21 +403,6 @@ impl OneApiServer {
 
         let started = self.clock.now();
         let solution = match self.config.solve_mode {
-            // The warm path is bit-identical to the cold one (see
-            // `flare_solver::warm`), so this choice never shows up in
-            // events — only in wall time and the warm-hit counters.
-            SolveMode::Exact if self.config.warm_start => {
-                let hits_before = self.warm.hits();
-                let solution = self.warm.solve(spec);
-                if self.trace.is_attached() {
-                    if self.warm.hits() > hits_before {
-                        self.trace.incr("solver.warm_hits", 1);
-                    } else {
-                        self.trace.incr("solver.warm_misses", 1);
-                    }
-                }
-                solution
-            }
             SolveMode::Exact => solve_discrete(&spec),
             SolveMode::Relaxed => round_down(&spec, &solve_relaxed(&spec)),
         };
@@ -572,8 +554,8 @@ mod tests {
 
     #[test]
     fn data_flow_count_tempers_assignments() {
-        let run = |n_data: usize| {
-            let (mut enb, videos, datas) = cell(2, n_data, 6);
+        let run = |n_video: usize, n_data: usize, itbs: u8| {
+            let (mut enb, videos, datas) = cell(n_video, n_data, itbs);
             let mut server = OneApiServer::new(FlareConfig::default().with_delta(0));
             for &v in &videos {
                 server.register_video(ClientInfo::new(v, BitrateLadder::testbed()));
@@ -589,12 +571,19 @@ mod tests {
                     enb.push_backlog(v, flare_sim::units::ByteCount::new(50_000_000));
                 }
             }
-            last.iter().map(|a| a.level.index()).sum::<usize>()
+            last.iter().map(|a| a.level.index()).collect::<Vec<_>>()
         };
+        let sum = |levels: Vec<usize>| levels.iter().sum::<usize>();
         assert!(
-            run(6) <= run(0),
+            sum(run(2, 6, 6)) <= sum(run(2, 0, 6)),
             "more data flows must not raise video levels"
         );
+        // Load and channel set a cell's levels: a crowded poor-channel cell
+        // stays below a light great-channel one, which reaches the top.
+        let top = |levels: Vec<usize>| levels.into_iter().max().unwrap();
+        let light = top(run(2, 0, 20));
+        assert_eq!(light, BitrateLadder::testbed().len() - 1);
+        assert!(top(run(6, 0, 4)) < light);
     }
 
     #[test]

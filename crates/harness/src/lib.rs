@@ -24,11 +24,9 @@
 
 pub mod invariant;
 pub mod pool;
-pub mod shard;
 
 pub use invariant::{
     Invariant, InvariantSet, LeaseReturn, MonotoneInstall, Observation, OneStepUp, PlayerSanity,
     RateFeasibility, RbConservation, Violation,
 };
 pub use pool::{effective_jobs, run_indexed, serial_parallel_divergence};
-pub use shard::ShardPool;

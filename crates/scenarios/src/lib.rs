@@ -13,8 +13,6 @@
 //! * [`sweeps`] — the α and δ parameter sweeps (Figures 11–12) and the
 //!   relaxed-solver comparison (Figure 8).
 //! * [`scaling`] — solver computation-time scaling (Figure 9).
-//! * [`multicell`] — the sharded multi-cell engine (N cells stepped
-//!   concurrently with a deterministic BAI barrier).
 //! * [`experiments`] — typed result tables with text rendering, one per
 //!   paper artifact.
 //!
@@ -43,7 +41,6 @@ pub mod cell;
 mod config;
 pub mod experiments;
 pub mod faults;
-pub mod multicell;
 mod runner;
 pub mod scaling;
 pub mod sweeps;
@@ -54,5 +51,4 @@ pub use config::{
     default_check_invariants, set_default_check_invariants, ChannelKind, SchedulerKind, SchemeKind,
     SimConfig, SimConfigBuilder,
 };
-pub use multicell::{MultiCellOutcome, MultiCellSim};
 pub use runner::{CellSim, CellStepper, RobustnessReport, RunResult, VideoFlowResult};

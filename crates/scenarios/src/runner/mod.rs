@@ -395,9 +395,9 @@ impl CellSim {
     ///
     /// Equivalent to driving [`CellSim::into_stepper`] by hand: advance to
     /// each BAI boundary, execute it, repeat until the duration is
-    /// exhausted. The sharded multi-cell engine runs exactly this loop with
-    /// a barrier between the two calls, which is why sharded execution is
-    /// byte-identical to this serial path.
+    /// exhausted. The benchmark's traced run and the stepper allocation
+    /// gate in `tests/alloc.rs` drive the stepper by hand, so what they time
+    /// and count is exactly this loop.
     pub fn run(self) -> RunResult {
         let mut stepper = self.into_stepper();
         while stepper.advance_to_bai().is_some() {
@@ -407,8 +407,7 @@ impl CellSim {
     }
 
     /// Converts the simulation into an incrementally driven [`CellStepper`]
-    /// so a coordinator can interleave this cell's TTIs with other cells'
-    /// at BAI granularity.
+    /// so a caller can time or measure each BAI window on its own.
     pub fn into_stepper(self) -> CellStepper {
         let duration_ms = self.config.duration.as_millis();
         let bai_ms = self.config.bai.as_millis();
@@ -416,7 +415,7 @@ impl CellSim {
         let n_data = self.data_flows.len();
 
         // Pre-size every sampling vector for the whole run so steady-state
-        // stepping never reallocates (the sharded alloc gate measures this
+        // stepping never reallocates (the stepper alloc gate measures this
         // path; BAI boundaries are allowed to allocate, TTIs are not).
         let secs = (duration_ms / 1000 + 2) as usize;
         let series = |label: String| {
@@ -536,10 +535,9 @@ impl CellSim {
 /// including the TTI that closes a BAI, then pauses and reports the
 /// boundary time; [`CellStepper::bai_boundary`] executes the coordination
 /// step for that boundary (server solve, assignment installs, client
-/// staleness clocks). Splitting the two lets a multi-cell coordinator
-/// barrier all shards between them while keeping the statement order —
-/// and therefore every trace byte and RNG draw — identical to
-/// [`CellSim::run`].
+/// staleness clocks). Splitting the two lets a caller time or measure each
+/// half on its own while keeping the statement order — and therefore every
+/// trace byte and RNG draw — identical to [`CellSim::run`].
 pub struct CellStepper {
     sim: CellSim,
     duration_ms: u64,

@@ -8,16 +8,10 @@
 
 use std::time::{Duration, Instant};
 
-use flare_core::{FlareConfig, SolveMode};
-use flare_lte::mobility::MobilityConfig;
+use flare_core::SolveMode;
 use flare_sim::rng::stream;
-use flare_sim::TimeDelta;
 use flare_solver::{round_down, solve_discrete, solve_relaxed, FlowSpec, ProblemSpec};
 use rand::Rng;
-
-use crate::cell::{cell_config, static_run};
-use crate::config::{ChannelKind, SchemeKind};
-use crate::multicell::MultiCellSim;
 
 /// Builds one per-BAI assignment problem with `n_clients` video flows whose
 /// channel efficiencies are drawn from the full iTbs range.
@@ -39,54 +33,6 @@ pub fn synthetic_problem(n_clients: usize, seed: u64) -> ProblemSpec {
         .flows(flows)
         .build()
         .expect("valid synthetic spec")
-}
-
-/// Builds `n_bais` *consecutive* per-BAI problems for the same `n_clients`
-/// flows, where each step re-draws only a `churn` fraction of the flows
-/// (channel moved enough to change `bits_per_rb`, or the ABR ladder cap
-/// `max_level` shifted) and leaves the rest byte-identical.
-///
-/// This is the inter-BAI workload the warm-start solver exploits: churn in
-/// a real cell is small between consecutive 10 s BAIs, so most per-flow
-/// state carries over unchanged.
-pub fn synthetic_problem_sequence(
-    n_clients: usize,
-    n_bais: usize,
-    seed: u64,
-    churn: f64,
-) -> Vec<ProblemSpec> {
-    assert!((0.0..=1.0).contains(&churn), "churn is a probability");
-    let mut rng = stream(seed, "scaling-seq", n_clients as u64);
-    let ladder: Vec<f64> = vec![100e3, 250e3, 500e3, 1000e3, 2000e3, 3000e3];
-    let draw = |rng: &mut rand::rngs::SmallRng| {
-        let bits_per_rb: f64 = rng.gen_range(32.0..1424.0);
-        let max_level = rng.gen_range(0..6usize);
-        (bits_per_rb, max_level)
-    };
-    let mut flows: Vec<(f64, usize)> = (0..n_clients).map(|_| draw(&mut rng)).collect();
-    let mut specs = Vec::with_capacity(n_bais);
-    for _ in 0..n_bais {
-        let flow_specs: Vec<FlowSpec> = flows
-            .iter()
-            .map(|&(bits_per_rb, max_level)| {
-                FlowSpec::new(ladder.clone(), 10.0, 0.2e6, 10.0 / bits_per_rb, max_level)
-            })
-            .collect();
-        specs.push(
-            ProblemSpec::builder()
-                .total_rbs(500_000.0)
-                .data_flows(4, 1.0)
-                .flows(flow_specs)
-                .build()
-                .expect("valid synthetic spec"),
-        );
-        for flow in &mut flows {
-            if rng.gen_bool(churn) {
-                *flow = draw(&mut rng);
-            }
-        }
-    }
-    specs
 }
 
 /// Measures `iterations` per-BAI solves with `n_clients` flows, returning
@@ -137,130 +83,6 @@ pub fn as_millis(times: &[Duration]) -> Vec<f64> {
     times.iter().map(|t| t.as_secs_f64() * 1000.0).collect()
 }
 
-/// Outcome of one multi-cell scaling sweep: `cells` FLARE cells (the fig6
-/// static workload) simulated on up to `jobs` worker threads.
-///
-/// This is the COMETS-style many-cell headroom demonstration: wall-clock to
-/// simulate N cells, and the aggregate TTI rate the machine sustained.
-#[derive(Debug, Clone)]
-pub struct MultiCellScaling {
-    /// Number of cells simulated.
-    pub cells: usize,
-    /// Simulated duration of each cell.
-    pub duration: TimeDelta,
-    /// Worker threads used (`0` = all cores, `1` = serial).
-    pub jobs: usize,
-    /// Whether cells ran under the BAI-barrier coordination loop
-    /// ([`MultiCellSim`]) or as fully independent uncoordinated runs.
-    pub coordinated: bool,
-    /// BAI barriers executed (0 for the uncoordinated path).
-    pub barriers: u64,
-    /// Total wall-clock time for the whole sweep.
-    pub wall: Duration,
-    /// Total TTIs simulated across all cells (1 TTI per simulated ms).
-    pub ttis: u64,
-}
-
-impl MultiCellScaling {
-    /// Aggregate simulated TTIs per wall-clock second.
-    pub fn ttis_per_sec(&self) -> f64 {
-        self.ttis as f64 / self.wall.as_secs_f64().max(1e-9)
-    }
-}
-
-/// The per-cell configuration both sweeps simulate: the fig6 static
-/// scenario (8 stationary video UEs under FLARE), seeded per cell.
-fn sweep_cell_config(seed: u64, cell: usize, duration: TimeDelta) -> crate::config::SimConfig {
-    cell_config(
-        SchemeKind::Flare(FlareConfig::default()),
-        ChannelKind::StationaryRandom(MobilityConfig::default()),
-        8,
-        0,
-        seed + cell as u64,
-        duration,
-    )
-}
-
-/// Simulates `cells` FLARE cells of `duration` each (seeds
-/// `seed..seed+cells`) through the sharded [`MultiCellSim`] engine —
-/// concurrent shards with a deterministic barrier at every BAI boundary —
-/// and reports the aggregate TTI throughput.
-///
-/// Results are bit-identical to `jobs = 1` per the engine's determinism
-/// contract (DESIGN.md §12), so only the wall clock moves with `jobs`.
-pub fn multi_cell_sweep(
-    cells: usize,
-    duration: TimeDelta,
-    seed: u64,
-    jobs: usize,
-) -> MultiCellScaling {
-    let started = Instant::now();
-    let outcome = MultiCellSim::new(cells, jobs, false, move |i| {
-        sweep_cell_config(seed, i, duration)
-    })
-    .run();
-    let wall = started.elapsed();
-    assert_eq!(
-        outcome.results.len(),
-        cells,
-        "pool must complete every cell"
-    );
-    // A run that produced no video samples would mean the sweep measured an
-    // empty simulation; guard against benchmarking a no-op.
-    assert!(
-        outcome.results.iter().all(|r| !r.videos.is_empty()),
-        "every cell must simulate its video clients"
-    );
-    MultiCellScaling {
-        cells,
-        duration,
-        jobs,
-        coordinated: true,
-        barriers: outcome.barriers,
-        wall,
-        ttis: cells as u64 * duration.as_millis(),
-    }
-}
-
-/// The pre-`MultiCellSim` path: `cells` fully independent runs fanned
-/// through [`flare_harness::run_indexed`] with **no coordination barrier**
-/// between them.
-///
-/// Kept (and named accordingly) so its numbers cannot be misread as a
-/// coordination result: each cell runs start-to-finish on whatever worker
-/// picks it up, which is an upper bound no barrier-synchronised engine can
-/// beat. Use [`multi_cell_sweep`] for the coordinated figure.
-pub fn multi_cell_sweep_uncoordinated(
-    cells: usize,
-    duration: TimeDelta,
-    seed: u64,
-    jobs: usize,
-) -> MultiCellScaling {
-    let started = Instant::now();
-    let runs = flare_harness::run_indexed(cells, jobs, |i| {
-        static_run(
-            SchemeKind::Flare(FlareConfig::default()),
-            seed + i as u64,
-            duration,
-        )
-    });
-    let wall = started.elapsed();
-    assert_eq!(runs.len(), cells, "pool must complete every cell");
-    assert!(
-        runs.iter().all(|r| !r.videos.is_empty()),
-        "every cell must simulate its video clients"
-    );
-    MultiCellScaling {
-        cells,
-        duration,
-        jobs,
-        coordinated: false,
-        barriers: 0,
-        wall,
-        ttis: cells as u64 * duration.as_millis(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,44 +111,6 @@ mod tests {
         );
         // And not absurdly non-monotone (allow noise at these tiny times).
         assert!(mean(&t128) >= mean(&t32) * 0.2);
-    }
-
-    #[test]
-    fn multi_cell_sweep_counts_every_tti() {
-        let sweep = multi_cell_sweep(2, TimeDelta::from_secs(20), 11, 2);
-        assert_eq!(sweep.cells, 2);
-        assert_eq!(sweep.ttis, 40_000);
-        assert!(sweep.coordinated);
-        assert_eq!(sweep.barriers, 2, "20 s at a 10 s BAI");
-        assert!(sweep.wall > Duration::ZERO);
-        assert!(sweep.ttis_per_sec() > 0.0);
-    }
-
-    #[test]
-    fn uncoordinated_sweep_is_flagged_as_such() {
-        let sweep = multi_cell_sweep_uncoordinated(2, TimeDelta::from_secs(5), 11, 2);
-        assert!(!sweep.coordinated);
-        assert_eq!(sweep.barriers, 0);
-        assert_eq!(sweep.ttis, 10_000);
-    }
-
-    #[test]
-    fn problem_sequences_churn_as_requested() {
-        let frozen = synthetic_problem_sequence(16, 5, 3, 0.0);
-        assert_eq!(frozen.len(), 5);
-        assert!(
-            frozen.iter().all(|s| *s == frozen[0]),
-            "zero churn must repeat the same spec"
-        );
-        let churned = synthetic_problem_sequence(16, 5, 3, 1.0);
-        assert!(
-            churned.windows(2).all(|w| w[0] != w[1]),
-            "full churn must perturb every BAI"
-        );
-        // Every spec in a sequence stays solvable.
-        for spec in churned.iter().chain(frozen.iter()) {
-            assert!(solve_discrete(spec).objective.is_finite());
-        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Discrete-event simulation kernel for the FLARE reproduction.
+//! Simulation time, units and deterministic RNG for the FLARE reproduction.
 //!
 //! This crate provides the minimal, deterministic building blocks shared by
 //! every simulator in the workspace:
@@ -6,31 +6,34 @@
 //! * [`Time`] / [`TimeDelta`] — millisecond-resolution simulation time. One
 //!   LTE transmission time interval (TTI) is exactly one millisecond, so the
 //!   kernel's native resolution matches the MAC layer's.
-//! * [`EventQueue`] — a stable priority queue of timestamped events with
-//!   deterministic FIFO tie-breaking.
+//! * [`units`] — typed rates and byte counts.
 //! * [`rng`] — seed-derivation utilities so that every simulated entity owns
 //!   an independent, reproducible random stream derived from one master seed.
 //!
 //! # Example
 //!
 //! ```
-//! use flare_sim::{EventQueue, Time};
+//! use flare_sim::rng::stream;
+//! use flare_sim::{Time, TimeDelta, TTI};
+//! use rand::Rng;
 //!
-//! let mut q = EventQueue::new();
-//! q.push(Time::from_secs(2), "later");
-//! q.push(Time::from_millis(10), "sooner");
-//! let (t, ev) = q.pop().unwrap();
-//! assert_eq!(t, Time::from_millis(10));
-//! assert_eq!(ev, "sooner");
+//! // A BAI boundary is a whole number of TTIs after the start.
+//! let bai = TimeDelta::from_secs(10);
+//! let now = Time::from_millis(23_456);
+//! assert_eq!(now.floor_to(bai), Time::from_secs(20));
+//! assert_eq!(bai / TTI, 10_000);
+//!
+//! // Equal (seed, tag, index) triples replay the same random stream.
+//! let a: u64 = stream(7, "channel", 3).gen();
+//! let b: u64 = stream(7, "channel", 3).gen();
+//! assert_eq!(a, b);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod events;
 pub mod rng;
 mod time;
 pub mod units;
 
-pub use events::EventQueue;
 pub use time::{Time, TimeDelta, TTI};

@@ -4,40 +4,23 @@
 //! module solves the *same* convex program by a structure-agnostic interior
 //! point method: a logarithmic barrier on the resource-block budget plus
 //! cyclic coordinate ascent (per-coordinate golden-section search), with
-//! the barrier weight annealed towards zero. It exists as a dependability
-//! cross-check — property tests assert both solvers land on the same
-//! optimum — and as a fallback if the objective is ever generalized beyond
-//! the closed-form-friendly `β(1 − θ/R)` shape.
+//! the barrier weight annealed towards zero. It is a test-only oracle: the
+//! tests below assert both solvers land on the same optimum.
 
 use crate::relaxed::ContinuousSolution;
 use crate::spec::ProblemSpec;
 use crate::utility::{data_utility, video_utility};
 
-/// Barrier-method tuning.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BarrierOptions {
-    /// Barrier weights, annealed in order (each is the `1/t` factor on the
-    /// `ln(budget − used)` term, in objective units).
-    pub weights: [f64; 5],
-    /// Coordinate-ascent passes per barrier stage. Coordinate ascent
-    /// zigzags slowly along the budget face when several flows share it, so
-    /// this is deliberately generous — the barrier solver is a correctness
-    /// cross-check, not the production path.
-    pub passes_per_stage: usize,
-    /// Golden-section iterations per coordinate (60 ≈ machine precision on
-    /// a Mbps-scale interval).
-    pub golden_iters: usize,
-}
-
-impl Default for BarrierOptions {
-    fn default() -> Self {
-        BarrierOptions {
-            weights: [1.0, 1e-2, 1e-4, 1e-6, 1e-8],
-            passes_per_stage: 400,
-            golden_iters: 80,
-        }
-    }
-}
+/// Barrier weights, annealed in order (each is the `1/t` factor on the
+/// `ln(budget − used)` term, in objective units).
+const WEIGHTS: [f64; 5] = [1.0, 1e-2, 1e-4, 1e-6, 1e-8];
+/// Coordinate-ascent passes per barrier stage. Coordinate ascent zigzags
+/// slowly along the budget face when several flows share it, so this is
+/// deliberately generous.
+const PASSES_PER_STAGE: usize = 400;
+/// Golden-section iterations per coordinate (60 ≈ machine precision on a
+/// Mbps-scale interval).
+const GOLDEN_ITERS: usize = 80;
 
 /// Solves the continuous relaxation by an annealed log-barrier interior
 /// point method with coordinate ascent.
@@ -46,23 +29,7 @@ impl Default for BarrierOptions {
 /// [`crate::solve_relaxed`] (with `price` reported as the data term's
 /// shadow price at the solution). Overloaded instances return the floor
 /// assignment, marked infeasible.
-///
-/// # Example
-///
-/// ```
-/// use flare_solver::{solve_barrier, solve_relaxed, BarrierOptions, FlowSpec, ProblemSpec};
-///
-/// let spec = ProblemSpec::builder()
-///     .total_rbs(500_000.0)
-///     .data_flows(2, 1.0)
-///     .flow(FlowSpec::new(vec![100e3, 500e3, 3000e3], 10.0, 200e3, 0.02, 2))
-///     .build()?;
-/// let a = solve_relaxed(&spec);
-/// let b = solve_barrier(&spec, BarrierOptions::default());
-/// assert!((a.objective - b.objective).abs() < 1e-4);
-/// # Ok::<(), flare_solver::SpecError>(())
-/// ```
-pub fn solve_barrier(spec: &ProblemSpec, options: BarrierOptions) -> ContinuousSolution {
+fn solve_barrier(spec: &ProblemSpec) -> ContinuousSolution {
     let floors: Vec<f64> = spec.flows().iter().map(|f| f.bounds().0).collect();
     let budget = spec.r_cap() * spec.total_rbs();
     let floor_used: f64 = spec
@@ -111,8 +78,8 @@ pub fn solve_barrier(spec: &ProblemSpec, options: BarrierOptions) -> ContinuousS
     // Coordinate-ascent line searches performed, reported as `steps`.
     let mut steps: u64 = 0;
 
-    for &w in &options.weights {
-        for _ in 0..options.passes_per_stage {
+    for w in WEIGHTS {
+        for _ in 0..PASSES_PER_STAGE {
             let mut moved = false;
             for i in 0..rates.len() {
                 let f = &spec.flows()[i];
@@ -134,7 +101,7 @@ pub fn solve_barrier(spec: &ProblemSpec, options: BarrierOptions) -> ContinuousS
                 };
                 let (mut a, mut b) = (lo, cap);
                 steps += 1;
-                for _ in 0..options.golden_iters {
+                for _ in 0..GOLDEN_ITERS {
                     let c = b - golden * (b - a);
                     let d = a + golden * (b - a);
                     if eval(c) < eval(d) {
@@ -203,13 +170,32 @@ mod tests {
             .build()
             .unwrap();
         let kkt = solve_relaxed(&spec);
-        let barrier = solve_barrier(&spec, BarrierOptions::default());
+        let barrier = solve_barrier(&spec);
         assert!(
             (kkt.objective - barrier.objective).abs() < 1e-4,
             "objectives diverge: kkt {} vs barrier {}",
             kkt.objective,
             barrier.objective
         );
+    }
+
+    #[test]
+    fn agrees_with_kkt_solver_on_a_single_flow_instance() {
+        let spec = ProblemSpec::builder()
+            .total_rbs(N)
+            .data_flows(2, 1.0)
+            .flow(FlowSpec::new(
+                vec![100e3, 500e3, 3000e3],
+                10.0,
+                200e3,
+                0.02,
+                2,
+            ))
+            .build()
+            .unwrap();
+        let kkt = solve_relaxed(&spec);
+        let barrier = solve_barrier(&spec);
+        assert!((kkt.objective - barrier.objective).abs() < 1e-4);
     }
 
     #[test]
@@ -223,7 +209,7 @@ mod tests {
             .build()
             .unwrap();
         let kkt = solve_relaxed(&spec);
-        let barrier = solve_barrier(&spec, BarrierOptions::default());
+        let barrier = solve_barrier(&spec);
         assert!(
             (kkt.objective - barrier.objective).abs() < 1e-3,
             "kkt {} vs barrier {}",
@@ -237,7 +223,7 @@ mod tests {
     fn overloaded_matches_kkt_behaviour() {
         let f = FlowSpec::new(vec![5000e3, 6000e3], 10.0, 0.2e6, 10.0 / 16.0, 1);
         let spec = ProblemSpec::builder().total_rbs(N).flow(f).build().unwrap();
-        let barrier = solve_barrier(&spec, BarrierOptions::default());
+        let barrier = solve_barrier(&spec);
         assert!(!barrier.feasible);
         assert_eq!(barrier.objective, f64::NEG_INFINITY);
     }
@@ -257,7 +243,7 @@ mod tests {
                 .build()
                 .unwrap();
             let kkt = solve_relaxed(&spec);
-            let barrier = solve_barrier(&spec, BarrierOptions::default());
+            let barrier = solve_barrier(&spec);
             // The program is convex: any gap means one solver is wrong.
             prop_assert!(
                 (kkt.objective - barrier.objective).abs() <= 1e-3_f64.max(kkt.objective.abs() * 1e-4),

@@ -12,10 +12,8 @@ use crate::{finish, DiscreteSolution};
 /// The table holds the *same* `f64`s `FlowSpec::utility` would return (a
 /// pure function of `(beta, theta, rate)`), so table-driven evaluation is
 /// bit-identical to inline evaluation — it only trades repeated arithmetic
-/// for a lookup. Note the table does not depend on the flow's `weight` (the
-/// per-bit RB cost): channel churn between BAIs leaves it valid, which is
-/// what [`crate::WarmSolver`] exploits.
-pub(crate) fn level_utils(f: &FlowSpec) -> Vec<f64> {
+/// for a lookup.
+fn level_utils(f: &FlowSpec) -> Vec<f64> {
     f.ladder().iter().map(|&rate| f.utility(rate)).collect()
 }
 
@@ -134,15 +132,7 @@ impl Eq for Upgrade {}
 /// [`crate::solve_relaxed`].
 pub fn solve_discrete(spec: &ProblemSpec) -> DiscreteSolution {
     let utils: Vec<Vec<f64>> = spec.flows().iter().map(level_utils).collect();
-    solve_core(spec, &utils)
-}
-
-/// The shared greedy-ascent + polish core behind [`solve_discrete`] (fresh
-/// tables every call) and [`crate::WarmSolver`] (tables carried across
-/// BAIs). `utils` must satisfy the [`level_utils`] contract for `spec`.
-pub(crate) fn solve_core(spec: &ProblemSpec, utils: &[Vec<f64>]) -> DiscreteSolution {
-    debug_assert_eq!(utils.len(), spec.flows().len());
-    let mut eval = Eval::new(spec, utils);
+    let mut eval = Eval::new(spec, &utils);
     if spec.is_overloaded() {
         return finish(spec, eval.levels);
     }

@@ -44,18 +44,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(test)]
 mod barrier;
 mod discrete;
 mod relaxed;
 mod spec;
 pub mod utility;
-mod warm;
 
-pub use barrier::{solve_barrier, BarrierOptions};
 pub use discrete::{solve_discrete, solve_exhaustive};
 pub use relaxed::{solve_relaxed, ContinuousSolution};
 pub use spec::{FlowSpec, ProblemSpec, ProblemSpecBuilder, SpecError};
-pub use warm::WarmSolver;
 
 /// A discrete assignment: one ladder level per video flow.
 #[derive(Debug, Clone, PartialEq)]

@@ -134,13 +134,12 @@ fn main() {
         println!("[{name}] 10k TTIs, 0 allocator operations ... ok");
     }
 
-    // The sharded engine's steady-state contract (DESIGN.md §12): once a
-    // cell's stepper has warmed up, a full between-barriers window
+    // The stepper's steady-state contract (DESIGN.md §11): once a cell's
+    // stepper has warmed up, a full window between BAI boundaries
     // (`CellStepper::advance_to_bai`) performs zero allocator operations.
-    // Shard-pool setup and BAI boundaries (solves, assignment installs,
-    // control messages) may allocate; per-TTI stepping may not.
-    // `MultiCellSim` drives exactly this path on its workers, so the gate
-    // is measured here on the caller thread where the counter is quiet.
+    // Setup and BAI boundaries (solves, assignment installs, control
+    // messages) may allocate; per-TTI stepping may not. `CellSim::run` and
+    // the benchmark's traced run drive exactly this path.
     let config = cell_config(
         SchemeKind::Flare(FlareConfig::default()),
         ChannelKind::StationaryRandom(MobilityConfig::default()),
