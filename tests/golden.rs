@@ -82,3 +82,11 @@ fn golden_faulty_flare_trace() {
 fn golden_gbr_only_trace() {
     check_golden("ablation");
 }
+
+/// FLARE on a loaded static cell (4 video + 4 backlogged data flows under
+/// the Priority Set scheduler): pins the PF phase with greedy data flows,
+/// which the video-only snapshots never exercise.
+#[test]
+fn golden_mixed_flare_trace() {
+    check_golden("fig10");
+}
