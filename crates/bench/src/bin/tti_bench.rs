@@ -1,15 +1,17 @@
-//! Measures end-to-end TTI throughput on the fig6 workload and records it.
+//! Measures end-to-end TTI throughput on the loaded fig10 cell and records it.
 //!
 //! ```text
 //! tti_bench [--runs N] [--secs S] [--seed K]
 //!           [--baseline TTIS_PER_SEC] [--floor TTIS_PER_SEC] [OUT.json]
 //! ```
 //!
-//! The workload is the paper's fig6 static-cell scenario (8 stationary
-//! video UEs under FLARE), run serially: every simulated millisecond is one
-//! `step_tti` plus the full player/controller loop around it, so the number
-//! is an honest end-to-end TTI rate, not a scheduler microbenchmark.
-//! Without `--runs`/`--secs` it measures 4 runs of 30 s.
+//! The workload is the paper's fig10 mixed cell (8 stationary video UEs
+//! under FLARE plus 8 always-backlogged data flows, Priority Set
+//! Scheduler), run serially. The data flows keep every TTI busy, so the
+//! idle and quiescent fast paths never hide the MAC's cost: every simulated
+//! millisecond is one full `step_tti` plus the player/controller loop around
+//! it, and the number is an honest end-to-end TTI rate, not a scheduler
+//! microbenchmark. Without `--runs`/`--secs` it measures 4 runs of 30 s.
 //!
 //! * `--baseline X` embeds a previously measured TTIs/sec (e.g. from running
 //!   this binary at the pre-optimization commit) so the output records both
@@ -17,21 +19,55 @@
 //! * `--floor X` exits non-zero when the measured rate falls below `X` —
 //!   the CI perf-smoke gate.
 //!
-//! Before measuring, the fig6 run is executed twice at a short duration and
-//! the per-client rate series are compared, so the file never reports a
-//! speed for a simulation that lost determinism.
+//! Before measuring, the run is executed twice at a short duration and the
+//! per-client rate series and data throughputs are compared, so the file
+//! never reports a speed for a simulation that lost determinism. The output
+//! names the host's core count and the git revision measured.
 
+use std::process::Command;
 use std::time::Instant;
 
 use flare_bench::parse_params_from;
 use flare_core::FlareConfig;
-use flare_scenarios::cell::static_run;
+use flare_scenarios::cell::mixed_run;
 use flare_scenarios::experiments::ExperimentParams;
-use flare_scenarios::SchemeKind;
+use flare_scenarios::{RunResult, SchemeKind};
 use flare_sim::TimeDelta;
 
-fn scheme() -> SchemeKind {
-    SchemeKind::Flare(FlareConfig::default())
+const N_VIDEO: usize = 8;
+const N_DATA: usize = 8;
+
+fn run(seed: u64, duration: TimeDelta) -> RunResult {
+    mixed_run(
+        SchemeKind::Flare(FlareConfig::default()),
+        N_VIDEO,
+        N_DATA,
+        seed,
+        duration,
+    )
+}
+
+/// The checked-out git revision (`-dirty` when the tree has local
+/// changes), or `unknown` outside a git checkout.
+fn git_rev() -> String {
+    let git = |args: &[&str]| {
+        Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_owned())
+    };
+    match git(&["rev-parse", "--short", "HEAD"]) {
+        Some(rev)
+            if git(&["status", "--porcelain", "--untracked-files=no"])
+                .is_some_and(|s| !s.is_empty()) =>
+        {
+            format!("{rev}-dirty")
+        }
+        Some(rev) => rev,
+        None => "unknown".to_owned(),
+    }
 }
 
 fn main() {
@@ -65,37 +101,50 @@ fn main() {
     // Determinism gate: a fast simulation that drifts between reruns would
     // make the golden traces lie, so refuse to report a rate for one.
     let check = TimeDelta::from_secs(10);
-    let a = static_run(scheme(), params.seed, check);
-    let b = static_run(scheme(), params.seed, check);
+    let a = run(params.seed, check);
+    let b = run(params.seed, check);
     for (va, vb) in a.videos.iter().zip(&b.videos) {
         assert_eq!(
             va.rate_series.points(),
             vb.rate_series.points(),
-            "fig6 run is not deterministic; refusing to benchmark"
+            "mixed run is not deterministic; refusing to benchmark"
+        );
+    }
+    for (da, db) in a.data.iter().zip(&b.data) {
+        assert_eq!(
+            da.average_throughput, db.average_throughput,
+            "mixed run is not deterministic; refusing to benchmark"
         );
     }
 
     // Warm-up run (page in code, size caches), then the measured runs.
-    let _ = static_run(scheme(), params.seed, params.duration);
+    let _ = run(params.seed, params.duration);
     let started = Instant::now();
     for i in 0..params.runs {
-        let r = static_run(scheme(), params.seed + i as u64, params.duration);
-        assert!(!r.videos.is_empty(), "fig6 run must simulate its clients");
+        let r = run(params.seed + i as u64, params.duration);
+        assert!(
+            r.videos.len() == N_VIDEO && r.data.len() == N_DATA,
+            "mixed run must simulate its clients"
+        );
     }
     let wall = started.elapsed();
     let ttis = params.runs as u64 * params.duration.as_millis();
     let ttis_per_sec = ttis as f64 / wall.as_secs_f64().max(1e-9);
+    let host_cores = std::thread::available_parallelism().map_or(0, |n| n.get());
 
     let mut json = format!(
-        "{{\n  \"benchmark\": \"fig6 end-to-end TTI throughput\",\n  \
-         \"workload\": \"static cell, FLARE, 8 video UEs, serial\",\n  \
+        "{{\n  \"benchmark\": \"fig10 mixed end-to-end TTI throughput\",\n  \
+         \"workload\": \"static cell, FLARE, {N_VIDEO} video + {N_DATA} backlogged data UEs, \
+         priority-set scheduler, serial\",\n  \
          \"runs\": {},\n  \"run_secs\": {},\n  \"seed\": {},\n  \
          \"ttis\": {ttis},\n  \"wall_ms\": {:.1},\n  \
-         \"ttis_per_sec\": {ttis_per_sec:.0},\n  \"deterministic\": true",
+         \"ttis_per_sec\": {ttis_per_sec:.0},\n  \"deterministic\": true,\n  \
+         \"host_cores\": {host_cores},\n  \"git_rev\": \"{}\"",
         params.runs,
         params.duration.as_millis() / 1000,
         params.seed,
         wall.as_secs_f64() * 1000.0,
+        git_rev(),
     );
     if let Some(base) = baseline {
         let speedup = ttis_per_sec / base.max(1e-9);

@@ -8,7 +8,7 @@
 //! tries to clear, and the MBR bucket caps how many bytes a flow may receive.
 
 use flare_sim::units::{ByteCount, Rate};
-use flare_sim::{Time, TimeDelta};
+use flare_sim::{Time, TimeDelta, TTI};
 
 /// Per-bearer QoS configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -32,7 +32,7 @@ pub struct BearerQos {
 /// ```
 /// use flare_lte::bearer::TokenBucket;
 /// use flare_sim::units::{ByteCount, Rate};
-/// use flare_sim::{Time, TimeDelta};
+/// use flare_sim::{Time, TimeDelta, TTI};
 ///
 /// let mut tb = TokenBucket::new(Rate::from_mbps(1.0), TimeDelta::from_millis(200));
 /// tb.advance(Time::from_millis(100));
@@ -48,6 +48,10 @@ pub struct TokenBucket {
     /// `rate × burst_window` in bytes, recomputed only when the rate
     /// changes so the per-TTI clamp is a compare, not two multiplies.
     cap: f64,
+    /// Tokens accrued over one TTI, `rate × 1 ms / 8`: the same float
+    /// operations in the same order as the general accrual, so caching it
+    /// changes no bit, and the per-TTI advance needs no division.
+    tti_step: f64,
     tokens: f64,
     last: Time,
 }
@@ -65,6 +69,7 @@ impl TokenBucket {
             rate,
             burst_window,
             cap: rate.as_bps() * burst_window.as_secs_f64() / 8.0,
+            tti_step: accrual(rate, TTI),
             tokens: 0.0,
             last: Time::ZERO,
         }
@@ -75,6 +80,7 @@ impl TokenBucket {
     pub fn set_rate(&mut self, rate: Rate) {
         self.rate = rate;
         self.cap = rate.as_bps() * self.burst_window.as_secs_f64() / 8.0;
+        self.tti_step = accrual(rate, TTI);
         self.clamp_to_burst();
     }
 
@@ -97,7 +103,11 @@ impl TokenBucket {
             return;
         }
         let dt = now.saturating_since(self.last);
-        self.tokens += self.rate.as_bps() * dt.as_secs_f64() / 8.0;
+        self.tokens += if dt == TTI {
+            self.tti_step
+        } else {
+            accrual(self.rate, dt)
+        };
         self.last = now;
         self.clamp_to_burst();
     }
@@ -130,6 +140,11 @@ impl TokenBucket {
     pub fn drain(&mut self) {
         self.tokens = 0.0;
     }
+}
+
+/// Bytes a bucket filling at `rate` accrues over `dt`.
+fn accrual(rate: Rate, dt: TimeDelta) -> f64 {
+    rate.as_bps() * dt.as_secs_f64() / 8.0
 }
 
 #[cfg(test)]

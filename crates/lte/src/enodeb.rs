@@ -64,9 +64,6 @@ struct FlowState {
     // Lifetime counters.
     total_bytes: ByteCount,
     last_itbs: Itbs,
-    /// Memoized `bits_per_rb(last_itbs)`; refreshed only when the fading
-    /// process actually moves the index (the channel→iTbs→TBS cache).
-    cached_bits_per_rb: f64,
 }
 
 impl std::fmt::Debug for Box<dyn ChannelModel> {
@@ -87,6 +84,9 @@ pub struct ENodeB {
     report_start: Time,
     now: Time,
     expired_leases: u64,
+    /// GBR leases currently ticking (flows whose `gbr_expires` is set);
+    /// the per-TTI expiry scan runs only while it is non-zero.
+    open_leases: usize,
     /// RBs granted in the most recent TTI (as summed over scheduler grants).
     last_tti_granted: u32,
     /// Test-only distortion added to [`ENodeB::last_tti_granted_rbs`]; lets
@@ -94,10 +94,14 @@ pub struct ENodeB {
     /// tripping the scheduler's internal assertion. Always 0 in real runs.
     reported_grant_inflation: u32,
     trace: TraceHandle,
+    /// The scheduler's per-flow view, one entry per flow in flow-id order.
+    /// Built by [`ENodeB::add_flow`] and updated in place every TTI: backlog
+    /// and GBR credit always, `bits_per_rb` only when the flow's iTbs moves
+    /// (the channel→iTbs→TBS cache).
+    tti_states: Vec<FlowTtiState>,
     // Persistent per-TTI scratch buffers. Cleared and refilled every
     // [`ENodeB::step_tti`] so the hot path performs no allocation once their
     // capacities stabilize (after warm-up).
-    tti_states: Vec<FlowTtiState>,
     tti_grants: Vec<RbAllocation>,
     tti_delivered: Vec<Delivered>,
     tti_expired: Vec<u64>,
@@ -112,6 +116,10 @@ pub struct ENodeB {
     /// All attached channels report [`ChannelModel::is_time_invariant`];
     /// maintained by [`ENodeB::add_flow`].
     channels_static: bool,
+    /// Every channel is time-invariant and has been polled into
+    /// `tti_states`, so [`ENodeB::step_tti`] skips the per-TTI poll. Cleared
+    /// by [`ENodeB::add_flow`].
+    channels_polled: bool,
 }
 
 impl std::fmt::Debug for ENodeB {
@@ -138,6 +146,7 @@ impl ENodeB {
             report_start: Time::ZERO,
             now: Time::ZERO,
             expired_leases: 0,
+            open_leases: 0,
             last_tti_granted: 0,
             reported_grant_inflation: 0,
             trace: TraceHandle::disabled(),
@@ -147,6 +156,7 @@ impl ENodeB {
             tti_expired: Vec::new(),
             quiescent: false,
             channels_static: true,
+            channels_polled: false,
         }
     }
 
@@ -163,8 +173,15 @@ impl ENodeB {
         let id = FlowId(self.flows.len() as u32);
         self.quiescent = false;
         self.channels_static &= channel.is_time_invariant();
+        self.channels_polled = false;
         let initial_itbs = Itbs::new(0);
-        let cached_bits_per_rb = self.config.link_adaptation.bits_per_rb(initial_itbs);
+        self.tti_states.push(FlowTtiState {
+            flow: id,
+            class,
+            backlog: ByteCount::ZERO,
+            bits_per_rb: self.config.link_adaptation.bits_per_rb(initial_itbs),
+            gbr_credit: ByteCount::ZERO,
+        });
         self.flows.push(FlowState {
             class,
             channel,
@@ -180,7 +197,6 @@ impl ENodeB {
             interval_bytes: ByteCount::ZERO,
             total_bytes: ByteCount::ZERO,
             last_itbs: initial_itbs,
-            cached_bits_per_rb,
         });
         id
     }
@@ -219,7 +235,7 @@ impl ENodeB {
         let window = self.config.gbr_burst_window;
         let st = self.flow_mut(flow);
         // A plain set is persistent: it cancels any outstanding lease.
-        st.gbr_expires = None;
+        let cancelled = st.gbr_expires.take().is_some();
         st.qos.gbr = gbr;
         match (gbr, st.gbr_bucket.as_mut()) {
             (Some(rate), Some(bucket)) => bucket.set_rate(rate),
@@ -231,6 +247,7 @@ impl ENodeB {
             }
             (None, _) => st.gbr_bucket = None,
         }
+        self.open_leases -= usize::from(cancelled);
     }
 
     /// Sets a flow's guaranteed bit rate as a *lease* that self-destructs at
@@ -260,6 +277,7 @@ impl ENodeB {
         self.trace.incr("enforce.lease_grants", 1);
         self.set_gbr(flow, Some(gbr));
         self.flow_mut(flow).gbr_expires = Some(expires_at);
+        self.open_leases += 1;
     }
 
     /// When the flow's GBR lease expires (`None`: no GBR, or persistent).
@@ -369,14 +387,17 @@ impl ENodeB {
 
         // 0. Expire GBR leases that were not renewed.
         self.tti_expired.clear();
-        for (i, st) in self.flows.iter_mut().enumerate() {
-            if let Some(expires_at) = st.gbr_expires {
-                if now >= expires_at {
-                    st.gbr_expires = None;
-                    st.qos.gbr = None;
-                    st.gbr_bucket = None;
-                    self.expired_leases += 1;
-                    self.tti_expired.push(i as u64);
+        if self.open_leases > 0 {
+            for (i, st) in self.flows.iter_mut().enumerate() {
+                if let Some(expires_at) = st.gbr_expires {
+                    if now >= expires_at {
+                        st.gbr_expires = None;
+                        st.qos.gbr = None;
+                        st.gbr_bucket = None;
+                        self.expired_leases += 1;
+                        self.open_leases -= 1;
+                        self.tti_expired.push(i as u64);
+                    }
                 }
             }
         }
@@ -391,14 +412,16 @@ impl ENodeB {
             }
         }
 
-        // 1. Refresh channels and bearer buckets.
-        self.tti_states.clear();
+        // 1. Refresh channels and bearer buckets into the flow table.
+        let poll = !self.channels_polled;
         let mut any_backlog = false;
-        for (i, st) in self.flows.iter_mut().enumerate() {
-            let itbs = st.channel.itbs_at(now);
-            if itbs != st.last_itbs {
-                st.last_itbs = itbs;
-                st.cached_bits_per_rb = self.config.link_adaptation.bits_per_rb(itbs);
+        for (st, state) in self.flows.iter_mut().zip(&mut self.tti_states) {
+            if poll {
+                let itbs = st.channel.itbs_at(now);
+                if itbs != st.last_itbs {
+                    st.last_itbs = itbs;
+                    state.bits_per_rb = self.config.link_adaptation.bits_per_rb(itbs);
+                }
             }
             if let Some(b) = st.gbr_bucket.as_mut() {
                 b.advance(now);
@@ -411,19 +434,14 @@ impl ENodeB {
                 .as_ref()
                 .map_or(ByteCount::new(u64::MAX), |b| b.available());
             let raw_backlog = st.backlog.unwrap_or(ByteCount::new(u64::MAX / 2));
-            let backlog = raw_backlog.min(mbr_allowance);
-            any_backlog |= !backlog.is_zero();
-            self.tti_states.push(FlowTtiState {
-                flow: FlowId(i as u32),
-                class: st.class,
-                backlog,
-                bits_per_rb: st.cached_bits_per_rb,
-                gbr_credit: st
-                    .gbr_bucket
-                    .as_ref()
-                    .map_or(ByteCount::ZERO, |b| b.available()),
-            });
+            state.backlog = raw_backlog.min(mbr_allowance);
+            any_backlog |= !state.backlog.is_zero();
+            state.gbr_credit = st
+                .gbr_bucket
+                .as_ref()
+                .map_or(ByteCount::ZERO, |b| b.available());
         }
+        self.channels_polled = self.channels_static;
 
         // 2. Schedule into the reused grants buffer. A backlog-free TTI
         // takes the scheduler's idle settle when the policy offers one
@@ -452,9 +470,15 @@ impl ENodeB {
         self.tti_delivered.clear();
         for gi in 0..self.tti_grants.len() {
             let g = self.tti_grants[gi];
-            let state = self.tti_states[g.flow.index()];
-            let capacity = state.bytes_for_rbs(g.rbs);
-            let bytes = capacity.min(state.backlog);
+            let bytes = g.bytes;
+            debug_assert_eq!(
+                bytes,
+                {
+                    let state = &self.tti_states[g.flow.index()];
+                    state.bytes_for_rbs(g.rbs).min(state.backlog)
+                },
+                "a grant must carry bytes_for_rbs(rbs) capped by the backlog"
+            );
             if grant_debug {
                 let st = &self.flows[g.flow.index()];
                 self.trace.record_debug(now, Category::Mac, "grant", |e| {
@@ -498,10 +522,9 @@ impl ENodeB {
         // happened, every channel is pinned, no lease is ticking, and every
         // bucket is already at its cap — so the next TTI can only repeat
         // this one.
-        if took_idle && self.channels_static {
+        if took_idle && self.channels_static && self.open_leases == 0 {
             self.quiescent = self.flows.iter().all(|st| {
-                st.gbr_expires.is_none()
-                    && st.gbr_bucket.as_ref().is_none_or(TokenBucket::is_full)
+                st.gbr_bucket.as_ref().is_none_or(TokenBucket::is_full)
                     && st.mbr_bucket.as_ref().is_none_or(TokenBucket::is_full)
             });
         }

@@ -56,16 +56,16 @@ impl MacScheduler for ProportionalFair {
         grants: &mut Vec<RbAllocation>,
     ) {
         grants.clear();
-        self.scratch.begin_tti();
+        self.scratch.begin_tti(&mut self.averages, flows);
         pf_pass(
-            &mut self.averages,
+            &self.averages,
             n_rbs,
             flows,
-            None,
+            |_| true,
             grants,
             &mut self.scratch,
         );
-        settle_averages(&mut self.averages, flows, &self.scratch);
+        settle_averages(&mut self.averages, flows, grants);
     }
 
     fn idle_tick(&mut self, flows: &[FlowTtiState]) -> bool {

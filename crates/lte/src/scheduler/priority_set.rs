@@ -1,9 +1,14 @@
 //! The ns-3 Priority Set Scheduler analogue used by the simulation study.
 
+use std::cmp::Reverse;
+
+use flare_sim::units::ByteCount;
+
 use super::{
     pf_pass, push_grant, settle_all_idle, settle_averages, FlowTtiState, MacScheduler, PfAverages,
     PfScratch, RbAllocation,
 };
+use crate::flows::FlowId;
 
 /// Priority-Set scheduling (Monghal et al., the scheduler the paper modifies
 /// in ns-3): flows below their target (GBR) rate form a priority set served
@@ -28,8 +33,9 @@ pub struct PrioritySetScheduler {
     averages: PfAverages,
     /// Reused per-TTI scratch for the PF pass.
     scratch: PfScratch,
-    /// Reused per-TTI index list of the priority set, sorted by deficit.
-    prio: Vec<usize>,
+    /// Reused per-TTI priority set as sort keys `(Reverse(credit), flow
+    /// id)`: most-starved first, ties by flow id.
+    prio: Vec<(Reverse<ByteCount>, FlowId)>,
 }
 
 impl PrioritySetScheduler {
@@ -62,30 +68,25 @@ impl MacScheduler for PrioritySetScheduler {
         grants: &mut Vec<RbAllocation>,
     ) {
         grants.clear();
-        self.scratch.begin_tti();
+        self.scratch.begin_tti(&mut self.averages, flows);
         let mut rbs_left = n_rbs;
 
-        // Priority set: flows with outstanding GBR credit, most-starved first
-        // (ties broken by flow id via the stable sort), selected by index.
+        // Priority set: flows with outstanding GBR credit, most-starved first,
+        // ties broken by flow id. Flow ids are unique, so the keys are too
+        // and the unstable sort gives the one order a stable sort would.
         self.prio.clear();
         self.prio.extend(
             flows
                 .iter()
-                .enumerate()
-                .filter(|(_, f)| !f.gbr_credit.min(f.backlog).is_zero())
-                .map(|(i, _)| i),
+                .filter(|f| !f.gbr_credit.min(f.backlog).is_zero())
+                .map(|f| (Reverse(f.gbr_credit), f.flow)),
         );
-        self.prio.sort_by(|&a, &b| {
-            flows[b]
-                .gbr_credit
-                .cmp(&flows[a].gbr_credit)
-                .then_with(|| flows[a].flow.cmp(&flows[b].flow))
-        });
-        for &i in &self.prio {
+        self.prio.sort_unstable();
+        for &(_, id) in &self.prio {
             if rbs_left == 0 {
                 break;
             }
-            let f = &flows[i];
+            let f = &flows[id.index()];
             let owed = f.gbr_credit.min(f.backlog);
             let want = f.rbs_for_bytes(owed).min(rbs_left);
             push_grant(grants, &mut self.scratch, f.flow, want);
@@ -93,14 +94,14 @@ impl MacScheduler for PrioritySetScheduler {
         }
 
         pf_pass(
-            &mut self.averages,
+            &self.averages,
             rbs_left,
             flows,
-            None,
+            |_| true,
             grants,
             &mut self.scratch,
         );
-        settle_averages(&mut self.averages, flows, &self.scratch);
+        settle_averages(&mut self.averages, flows, grants);
     }
 
     fn idle_tick(&mut self, flows: &[FlowTtiState]) -> bool {

@@ -76,12 +76,14 @@ impl MacScheduler for RoundRobin {
             let want = f.rbs_for_bytes(self.remaining[idx]).min(rbs_left);
             if want > 0 {
                 // Each backlogged flow is visited at most once per TTI
-                // (`visited < count`), so a plain push never needs merging.
+                // (`visited < count`), so a plain push never needs merging,
+                // and its remaining backlog is still its whole backlog.
+                let delivered = f.bytes_for_rbs(want).min(self.remaining[idx]);
                 grants.push(RbAllocation {
                     flow: f.flow,
                     rbs: want,
+                    bytes: delivered,
                 });
-                let delivered = f.bytes_for_rbs(want).min(self.remaining[idx]);
                 self.remaining[idx] = self.remaining[idx].saturating_sub(delivered);
                 rbs_left -= want;
             }

@@ -59,7 +59,7 @@ impl MacScheduler for TwoPhaseGbr {
         grants: &mut Vec<RbAllocation>,
     ) {
         grants.clear();
-        self.scratch.begin_tti();
+        self.scratch.begin_tti(&mut self.averages, flows);
         let mut rbs_left = n_rbs;
 
         // Phase 1: clear GBR credit in flow-id order.
@@ -78,14 +78,14 @@ impl MacScheduler for TwoPhaseGbr {
 
         // Phase 2: PF over whatever backlog remains.
         pf_pass(
-            &mut self.averages,
+            &self.averages,
             rbs_left,
             flows,
-            None,
+            |_| true,
             grants,
             &mut self.scratch,
         );
-        settle_averages(&mut self.averages, flows, &self.scratch);
+        settle_averages(&mut self.averages, flows, grants);
     }
 
     fn idle_tick(&mut self, flows: &[FlowTtiState]) -> bool {
@@ -108,8 +108,6 @@ pub struct StrictGbrPartition {
     averages: PfAverages,
     /// Reused per-TTI scratch for the phase-2 PF pass.
     scratch: PfScratch,
-    /// Reused per-TTI index partition of the zero-credit flows.
-    non_gbr: Vec<usize>,
 }
 
 impl StrictGbrPartition {
@@ -122,7 +120,6 @@ impl StrictGbrPartition {
         StrictGbrPartition {
             averages: PfAverages::new(tc_ttis),
             scratch: PfScratch::default(),
-            non_gbr: Vec::new(),
         }
     }
 }
@@ -141,7 +138,7 @@ impl MacScheduler for StrictGbrPartition {
         grants: &mut Vec<RbAllocation>,
     ) {
         grants.clear();
-        self.scratch.begin_tti();
+        self.scratch.begin_tti(&mut self.averages, flows);
         let mut rbs_left = n_rbs;
         for f in flows {
             if rbs_left == 0 {
@@ -159,25 +156,16 @@ impl MacScheduler for StrictGbrPartition {
             push_grant(grants, &mut self.scratch, f.flow, want);
             rbs_left -= want;
         }
-        // Phase 2 restricted to flows *without* a GBR bearer, selected by
-        // index instead of copying their state out.
-        self.non_gbr.clear();
-        self.non_gbr.extend(
-            flows
-                .iter()
-                .enumerate()
-                .filter(|(_, f)| f.gbr_credit.is_zero())
-                .map(|(i, _)| i),
-        );
+        // Phase 2 restricted to flows *without* GBR credit.
         pf_pass(
-            &mut self.averages,
+            &self.averages,
             rbs_left,
             flows,
-            Some(&self.non_gbr),
+            |f| f.gbr_credit.is_zero(),
             grants,
             &mut self.scratch,
         );
-        settle_averages(&mut self.averages, flows, &self.scratch);
+        settle_averages(&mut self.averages, flows, grants);
     }
 
     fn name(&self) -> &'static str {

@@ -316,6 +316,8 @@ impl CellSim {
                 .with_hard_fail(true)
         });
         let lease_watch = vec![None; config.n_video];
+        // A player has at most one request in flight.
+        let pending_requests = Vec::with_capacity(config.n_video);
         // One segment per `segment` interval per player bounds the record
         // count; reserving it up front keeps steady-state stepping
         // allocation-free (see `tests/alloc.rs`).
@@ -330,7 +332,7 @@ impl CellSim {
             players,
             controller,
             jitter_rngs,
-            pending_requests: Vec::new(),
+            pending_requests,
             trace,
             invariants,
             lease_watch,
@@ -600,20 +602,16 @@ impl CellStepper {
                     );
                 }
             }
-            if !self.sim.pending_requests.is_empty() {
-                let due: Vec<(Time, usize, ByteCount)> = {
-                    let (due, rest): (Vec<_>, Vec<_>) = self
-                        .sim
-                        .pending_requests
-                        .drain(..)
-                        .partition(|(at, _, _)| *at <= tti_end);
-                    self.sim.pending_requests = rest;
-                    due
-                };
-                for (_, i, bytes) in due {
-                    self.sim.enb.push_backlog(self.sim.video_flows[i], bytes);
+            // Requests due by the end of this TTI reach the eNodeB in issue
+            // order; the rest stay queued, in place, without allocating.
+            let (enb, video_flows) = (&mut self.sim.enb, &self.sim.video_flows);
+            self.sim.pending_requests.retain(|&(at, i, bytes)| {
+                let due = at <= tti_end;
+                if due {
+                    enb.push_backlog(video_flows[i], bytes);
                 }
-            }
+                !due
+            });
 
             // 2. One TTI of MAC scheduling and delivery. When invariants are
             // on, lease expiries performed inside the TTI are observed

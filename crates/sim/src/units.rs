@@ -192,6 +192,7 @@ impl ByteCount {
     }
 
     /// Returns the smaller of two counts.
+    #[inline]
     pub fn min(self, other: ByteCount) -> ByteCount {
         ByteCount(self.0.min(other.0))
     }

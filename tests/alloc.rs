@@ -139,15 +139,32 @@ fn main() {
     // (`CellStepper::advance_to_bai`) performs zero allocator operations.
     // Setup and BAI boundaries (solves, assignment installs, control
     // messages) may allocate; per-TTI stepping may not. `CellSim::run` and
-    // the benchmark's traced run drive exactly this path.
-    let config = cell_config(
-        SchemeKind::Flare(FlareConfig::default()),
-        ChannelKind::StationaryRandom(MobilityConfig::default()),
-        8,
-        0,
-        1,
-        TimeDelta::from_secs(40),
+    // the benchmark's traced run drive exactly this path. The gates cover
+    // the video-only cell, the loaded fig. 10 mix, and requests delayed in
+    // transport.
+    let stepper_cell = |n_data: usize, jitter_ms: u64| {
+        let mut config = cell_config(
+            SchemeKind::Flare(FlareConfig::default()),
+            ChannelKind::StationaryRandom(MobilityConfig::default()),
+            8,
+            n_data,
+            1,
+            TimeDelta::from_secs(40),
+        );
+        config.request_jitter = TimeDelta::from_millis(jitter_ms);
+        config
+    };
+    stepper_gate("8 video + 0 data", stepper_cell(0, 0));
+    stepper_gate("8 video + 8 data", stepper_cell(8, 0));
+    stepper_gate(
+        "8 video + 8 data, 50 ms request jitter",
+        stepper_cell(8, 50),
     );
+}
+
+/// Asserts that one warmed BAI window of `config`'s stepper performs zero
+/// allocator operations.
+fn stepper_gate(name: &str, config: flare_scenarios::SimConfig) {
     let mut stepper = CellSim::new(config).into_stepper();
     for _ in 0..3 {
         stepper.advance_to_bai().expect("warm-up window");
@@ -156,10 +173,13 @@ fn main() {
     let before = ALLOC_OPS.load(Ordering::Relaxed);
     let boundary = stepper.advance_to_bai();
     let ops = ALLOC_OPS.load(Ordering::Relaxed) - before;
-    assert!(boundary.is_some(), "measurement window must close a BAI");
+    assert!(
+        boundary.is_some(),
+        "[stepper, {name}] measurement window must close a BAI"
+    );
     assert_eq!(
         ops, 0,
-        "[stepper] one BAI window performed {ops} allocator operations"
+        "[stepper, {name}] one BAI window performed {ops} allocator operations"
     );
-    println!("[stepper] one 10 s BAI window (10k TTIs), 0 allocator operations ... ok");
+    println!("[stepper, {name}] one 10 s BAI window (10k TTIs), 0 allocator operations ... ok");
 }
