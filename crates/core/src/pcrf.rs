@@ -12,6 +12,10 @@ use flare_lte::{FlowClass, FlowId};
 #[derive(Debug, Clone, Default)]
 pub struct PcrfRegistry {
     flows: Vec<(FlowId, FlowClass)>,
+    /// The largest flow id ever registered. The eNodeB hands out ids in
+    /// increasing order, so a flow above it is new and registers without
+    /// scanning `flows` (registering a whole cell is linear, not quadratic).
+    max_flow: Option<FlowId>,
 }
 
 impl PcrfRegistry {
@@ -22,6 +26,11 @@ impl PcrfRegistry {
 
     /// Registers a flow; re-registering updates its class.
     pub fn register(&mut self, flow: FlowId, class: FlowClass) {
+        if self.max_flow.is_none_or(|max| flow > max) {
+            self.max_flow = Some(flow);
+            self.flows.push((flow, class));
+            return;
+        }
         match self.flows.iter_mut().find(|(f, _)| *f == flow) {
             Some(entry) => entry.1 = class,
             None => self.flows.push((flow, class)),
@@ -98,6 +107,24 @@ mod tests {
         assert_eq!(reg.data_flow_count(), 0);
         assert_eq!(reg.video_flow_count(), 1);
         assert_eq!(reg.iter().count(), 1);
+
+        // Out of id order, and again after a teardown.
+        let ids = flows(3);
+        let mut reg = PcrfRegistry::new();
+        reg.register(ids[2], FlowClass::Data);
+        reg.register(ids[0], FlowClass::Video);
+        reg.register(ids[2], FlowClass::Video);
+        assert!(reg.deregister(ids[0]));
+        reg.register(ids[0], FlowClass::Data);
+        reg.register(ids[1], FlowClass::Data);
+        assert_eq!(
+            reg.iter().collect::<Vec<_>>(),
+            vec![
+                (ids[2], FlowClass::Video),
+                (ids[0], FlowClass::Data),
+                (ids[1], FlowClass::Data)
+            ]
+        );
     }
 
     #[test]

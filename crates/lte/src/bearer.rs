@@ -32,7 +32,7 @@ pub struct BearerQos {
 /// ```
 /// use flare_lte::bearer::TokenBucket;
 /// use flare_sim::units::{ByteCount, Rate};
-/// use flare_sim::{Time, TimeDelta, TTI};
+/// use flare_sim::{Time, TimeDelta};
 ///
 /// let mut tb = TokenBucket::new(Rate::from_mbps(1.0), TimeDelta::from_millis(200));
 /// tb.advance(Time::from_millis(100));

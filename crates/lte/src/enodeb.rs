@@ -95,9 +95,9 @@ pub struct ENodeB {
     reported_grant_inflation: u32,
     trace: TraceHandle,
     /// The scheduler's per-flow view, one entry per flow in flow-id order.
-    /// Built by [`ENodeB::add_flow`] and updated in place every TTI: backlog
-    /// and GBR credit always, `bits_per_rb` only when the flow's iTbs moves
-    /// (the channel→iTbs→TBS cache).
+    /// Extended by [`ENodeB::step_tti`] for newly attached flows and updated
+    /// in place every TTI: backlog and GBR credit always, `bits_per_rb` only
+    /// when the flow's iTbs moves (the channel→iTbs→TBS cache).
     tti_states: Vec<FlowTtiState>,
     // Persistent per-TTI scratch buffers. Cleared and refilled every
     // [`ENodeB::step_tti`] so the hot path performs no allocation once their
@@ -175,13 +175,6 @@ impl ENodeB {
         self.channels_static &= channel.is_time_invariant();
         self.channels_polled = false;
         let initial_itbs = Itbs::new(0);
-        self.tti_states.push(FlowTtiState {
-            flow: id,
-            class,
-            backlog: ByteCount::ZERO,
-            bits_per_rb: self.config.link_adaptation.bits_per_rb(initial_itbs),
-            gbr_credit: ByteCount::ZERO,
-        });
         self.flows.push(FlowState {
             class,
             channel,
@@ -412,7 +405,20 @@ impl ENodeB {
             }
         }
 
-        // 1. Refresh channels and bearer buckets into the flow table.
+        // 1. Refresh channels and bearer buckets into the flow table,
+        // first adding the flows attached since the previous TTI. (Growing
+        // the table here rather than in `add_flow` leaves a cell that is
+        // built but never stepped with the heap it had before the table
+        // existed.)
+        for (i, st) in self.flows.iter().enumerate().skip(self.tti_states.len()) {
+            self.tti_states.push(FlowTtiState {
+                flow: FlowId(i as u32),
+                class: st.class,
+                backlog: ByteCount::ZERO,
+                bits_per_rb: self.config.link_adaptation.bits_per_rb(st.last_itbs),
+                gbr_credit: ByteCount::ZERO,
+            });
+        }
         let poll = !self.channels_polled;
         let mut any_backlog = false;
         for (st, state) in self.flows.iter_mut().zip(&mut self.tti_states) {
@@ -823,6 +829,23 @@ mod tests {
         assert_eq!(enb.qos(f).gbr, Some(Rate::from_kbps(790.0)));
         enb.set_gbr(f, None);
         assert_eq!(enb.qos(f).gbr, None);
+    }
+
+    #[test]
+    fn flow_added_mid_run_is_served_at_its_channel_rate() {
+        // Static channels are polled once; a flow attached later must still
+        // have its own channel polled before it is scheduled.
+        let mut enb = cell(Box::new(ProportionalFair::default()));
+        let first = enb.add_flow(FlowClass::Data, Box::new(StaticChannel::new(Itbs::new(4))));
+        run_ttis(&mut enb, 0, 10);
+        let late = enb.add_flow(FlowClass::Data, Box::new(StaticChannel::new(Itbs::new(9))));
+        run_ttis(&mut enb, 10, 10);
+        assert_eq!(enb.current_itbs(first), Itbs::new(4));
+        assert_eq!(enb.current_itbs(late), Itbs::new(9));
+        let report = enb.take_report(Time::from_millis(20));
+        let stats = report.flow(late).unwrap();
+        let bytes_per_rb = enb.link_adaptation().bits_per_rb(Itbs::new(9)) / 8.0;
+        assert_eq!(stats.bytes.as_u64() as f64, stats.rbs as f64 * bytes_per_rb);
     }
 
     #[test]

@@ -153,8 +153,9 @@ impl PfAverages {
         }
     }
 
-    /// Grows the table to `len` flows. Called once per TTI, before any
-    /// [`PfAverages::metric`] or [`PfAverages::update`] of that TTI.
+    /// Grows the table to `len` flows. Called once per TTI, before that
+    /// TTI's [`PfAverages::metric`], [`PfAverages::decay`] and
+    /// [`PfAverages::credit`] calls.
     fn fit(&mut self, len: usize) {
         if len > self.avgs.len() {
             // Small positive prior so brand-new flows don't divide by zero

@@ -316,8 +316,6 @@ impl CellSim {
                 .with_hard_fail(true)
         });
         let lease_watch = vec![None; config.n_video];
-        // A player has at most one request in flight.
-        let pending_requests = Vec::with_capacity(config.n_video);
         // One segment per `segment` interval per player bounds the record
         // count; reserving it up front keeps steady-state stepping
         // allocation-free (see `tests/alloc.rs`).
@@ -332,7 +330,7 @@ impl CellSim {
             players,
             controller,
             jitter_rngs,
-            pending_requests,
+            pending_requests: Vec::new(),
             trace,
             invariants,
             lease_watch,
