@@ -95,9 +95,9 @@ pub struct ENodeB {
     reported_grant_inflation: u32,
     trace: TraceHandle,
     /// The scheduler's per-flow view, one entry per flow in flow-id order.
-    /// Extended by [`ENodeB::step_tti`] for newly attached flows and updated
-    /// in place every TTI: backlog and GBR credit always, `bits_per_rb` only
-    /// when the flow's iTbs moves (the channel→iTbs→TBS cache).
+    /// Built by [`ENodeB::add_flow`] and updated in place every TTI: backlog
+    /// and GBR credit always, `bits_per_rb` only when the flow's iTbs moves
+    /// (the channel→iTbs→TBS cache).
     tti_states: Vec<FlowTtiState>,
     // Persistent per-TTI scratch buffers. Cleared and refilled every
     // [`ENodeB::step_tti`] so the hot path performs no allocation once their
@@ -175,6 +175,13 @@ impl ENodeB {
         self.channels_static &= channel.is_time_invariant();
         self.channels_polled = false;
         let initial_itbs = Itbs::new(0);
+        self.tti_states.push(FlowTtiState {
+            flow: id,
+            class,
+            backlog: ByteCount::ZERO,
+            bits_per_rb: self.config.link_adaptation.bits_per_rb(initial_itbs),
+            gbr_credit: ByteCount::ZERO,
+        });
         self.flows.push(FlowState {
             class,
             channel,
@@ -405,20 +412,7 @@ impl ENodeB {
             }
         }
 
-        // 1. Refresh channels and bearer buckets into the flow table,
-        // first adding the flows attached since the previous TTI. (Growing
-        // the table here rather than in `add_flow` leaves a cell that is
-        // built but never stepped with the heap it had before the table
-        // existed.)
-        for (i, st) in self.flows.iter().enumerate().skip(self.tti_states.len()) {
-            self.tti_states.push(FlowTtiState {
-                flow: FlowId(i as u32),
-                class: st.class,
-                backlog: ByteCount::ZERO,
-                bits_per_rb: self.config.link_adaptation.bits_per_rb(st.last_itbs),
-                gbr_credit: ByteCount::ZERO,
-            });
-        }
+        // 1. Refresh channels and bearer buckets into the flow table.
         let poll = !self.channels_polled;
         let mut any_backlog = false;
         for (st, state) in self.flows.iter_mut().zip(&mut self.tti_states) {
