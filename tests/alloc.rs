@@ -23,7 +23,7 @@ use flare_lte::scheduler::{
 };
 use flare_lte::{CellConfig, ENodeB, FlowClass, Itbs};
 use flare_scenarios::cell::cell_config;
-use flare_scenarios::{CellSim, ChannelKind, SchemeKind};
+use flare_scenarios::{CellSim, ChannelKind, SchemeKind, SimConfig};
 use flare_sim::units::{ByteCount, Rate};
 use flare_sim::{Time, TimeDelta};
 
@@ -164,7 +164,7 @@ fn main() {
 
 /// Asserts that one warmed BAI window of `config`'s stepper performs zero
 /// allocator operations.
-fn stepper_gate(name: &str, config: flare_scenarios::SimConfig) {
+fn stepper_gate(name: &str, config: SimConfig) {
     let mut stepper = CellSim::new(config).into_stepper();
     for _ in 0..3 {
         stepper.advance_to_bai().expect("warm-up window");
