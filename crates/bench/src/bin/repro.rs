@@ -48,7 +48,7 @@ fn run_one(name: &str, p: ExperimentParams) -> bool {
         "fig9" => {
             // Figure 9 measures per-solve wall time; iterations scale with
             // the requested run count.
-            println!("{}", fig9(p.runs.max(2) * 25, p.seed, p.jobs).render());
+            println!("{}", fig9(p.runs.max(2) * 25, p.seed).render());
         }
         "fig10" => println!("{}", fig10(p).render()),
         "fig11" => println!("{}", fig11(p).render()),

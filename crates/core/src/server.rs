@@ -408,6 +408,9 @@ impl OneApiServer {
         };
         let wall = self.clock.now().saturating_sub(started);
         self.last_solve_time = Some(wall);
+        if spec.is_overloaded() {
+            self.trace.incr("solver.overloaded", 1);
+        }
 
         let now = Time::from_millis(now_ms);
         if self.trace.is_attached() {

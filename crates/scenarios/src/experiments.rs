@@ -553,28 +553,18 @@ impl ScalingFigure {
     }
 }
 
-/// Figure 9: solve-time CDFs for 32, 64, and 128 video clients.
-///
-/// Timing samples are always taken serially on the calling thread, even
-/// with `jobs > 1` (see [`measure_solve_times`]), so the CDFs are free of
-/// worker-pool contention at any jobs setting.
-pub fn fig9(iterations: usize, seed: u64, jobs: usize) -> ScalingFigure {
+/// Figure 9: solve-time CDFs for 32, 64, and 128 video clients, each solve
+/// timed serially on the calling thread (see [`measure_solve_times`]).
+pub fn fig9(iterations: usize, seed: u64) -> ScalingFigure {
     let points = [32usize, 64, 128]
         .into_iter()
         .map(|n| {
-            let exact = as_millis(&measure_solve_times(
-                n,
-                iterations,
-                SolveMode::Exact,
-                seed,
-                jobs,
-            ));
+            let exact = as_millis(&measure_solve_times(n, iterations, SolveMode::Exact, seed));
             let relaxed = as_millis(&measure_solve_times(
                 n,
                 iterations,
                 SolveMode::Relaxed,
                 seed,
-                jobs,
             ));
             (n, Cdf::from_samples(exact), Cdf::from_samples(relaxed))
         })
@@ -1031,7 +1021,7 @@ mod tests {
 
     #[test]
     fn fig9_renders() {
-        let f = fig9(5, 3, 1);
+        let f = fig9(5, 3);
         assert_eq!(f.points.len(), 3);
         let rendered = f.render();
         assert!(rendered.contains("128"));

@@ -6,6 +6,7 @@
 //! per-BAI problems whose weights come from seeded, realistically
 //! distributed channel states.
 
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use flare_core::SolveMode;
@@ -36,46 +37,26 @@ pub fn synthetic_problem(n_clients: usize, seed: u64) -> ProblemSpec {
 }
 
 /// Measures `iterations` per-BAI solves with `n_clients` flows, returning
-/// one wall-clock duration per solve.
-///
-/// Timing samples are **always collected serially on the calling thread**:
-/// with `jobs > 1`, a first pass fans the solves across workers for their
-/// *results* only (and the serially-timed solutions are asserted identical
-/// to them, making the jobs-independence contract executable), then a
-/// dedicated serial pass takes the wall-clock samples. Timing inside the
-/// worker pool would let core contention inflate the Figure 9 numbers.
+/// one wall-clock duration per solve. The solves run serially on the
+/// calling thread, so no worker contention inflates the Figure 9 numbers.
 pub fn measure_solve_times(
     n_clients: usize,
     iterations: usize,
     mode: SolveMode,
     seed: u64,
-    jobs: usize,
 ) -> Vec<Duration> {
-    let solve = move |spec: &ProblemSpec| -> Vec<usize> {
-        match mode {
-            SolveMode::Exact => solve_discrete(spec).levels,
-            SolveMode::Relaxed => round_down(spec, &solve_relaxed(spec)).levels,
-        }
-    };
-    let parallel_levels = (jobs > 1).then(|| {
-        flare_harness::run_indexed(iterations, jobs, |i| {
-            solve(&synthetic_problem(n_clients, seed + i as u64))
+    (0..iterations)
+        .map(|i| {
+            let spec = synthetic_problem(n_clients, seed + i as u64);
+            let started = Instant::now();
+            let solution = match mode {
+                SolveMode::Exact => solve_discrete(&spec),
+                SolveMode::Relaxed => round_down(&spec, &solve_relaxed(&spec)),
+            };
+            black_box(solution);
+            started.elapsed()
         })
-    });
-    let mut times = Vec::with_capacity(iterations);
-    for i in 0..iterations {
-        let spec = synthetic_problem(n_clients, seed + i as u64);
-        let started = Instant::now();
-        let levels = solve(&spec);
-        times.push(started.elapsed());
-        if let Some(parallel) = &parallel_levels {
-            assert_eq!(
-                levels, parallel[i],
-                "solve {i}: parallel result diverged from the serially timed one"
-            );
-        }
-    }
-    times
+        .collect()
 }
 
 /// Milliseconds as `f64` for CDF construction.
@@ -100,8 +81,8 @@ mod tests {
 
     #[test]
     fn solve_times_scale_but_stay_below_segment_duration() {
-        let t32 = as_millis(&measure_solve_times(32, 10, SolveMode::Exact, 1, 1));
-        let t128 = as_millis(&measure_solve_times(128, 10, SolveMode::Exact, 1, 1));
+        let t32 = as_millis(&measure_solve_times(32, 10, SolveMode::Exact, 1));
+        let t128 = as_millis(&measure_solve_times(128, 10, SolveMode::Exact, 1));
         let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
         // The paper's headline: far below a segment duration (seconds).
         assert!(
@@ -115,7 +96,7 @@ mod tests {
 
     #[test]
     fn relaxed_mode_measures_too() {
-        let times = measure_solve_times(64, 5, SolveMode::Relaxed, 9, 2);
+        let times = measure_solve_times(64, 5, SolveMode::Relaxed, 9);
         assert_eq!(times.len(), 5);
         assert!(as_millis(&times).iter().all(|&ms| ms < 1000.0));
     }

@@ -21,7 +21,9 @@ fn level_utils(f: &FlowSpec) -> Vec<f64> {
 ///
 /// `utils[i][l]` must equal `spec.flows()[i].utility(ladder[l])` (see
 /// [`level_utils`]); `cur_penalty` caches `penalty(used_rbs)` for the
-/// current state so `delta` does one penalty evaluation instead of two.
+/// current state. Each move evaluates the penalty of the state it reaches
+/// once: [`Eval::price`] hands it to [`Eval::commit`], and a swap trial
+/// [`Eval::shift`]s both flows unpriced and prices only the moved state.
 struct Eval<'a> {
     spec: &'a ProblemSpec,
     utils: &'a [Vec<f64>],
@@ -29,6 +31,13 @@ struct Eval<'a> {
     video_util: f64,
     used_rbs: f64,
     cur_penalty: f64,
+}
+
+/// A priced single move: its objective change and the data penalty of the
+/// state it leads to (`-inf` gain when that state breaks the RB cap).
+struct Price {
+    gain: f64,
+    penalty: f64,
 }
 
 impl<'a> Eval<'a> {
@@ -47,7 +56,7 @@ impl<'a> Eval<'a> {
             e.video_util += e.utils[i][e.levels[i]];
             e.used_rbs += f.weight() * rate;
         }
-        e.cur_penalty = e.penalty(e.used_rbs);
+        e.reprice();
         e
     }
 
@@ -63,26 +72,42 @@ impl<'a> Eval<'a> {
         self.video_util + self.cur_penalty
     }
 
-    /// Objective change from moving flow `i` to `to_level`.
-    fn delta(&self, i: usize, to_level: usize) -> f64 {
+    /// Prices moving flow `i` to `to_level` without moving it.
+    fn price(&self, i: usize, to_level: usize) -> Price {
         let f = &self.spec.flows()[i];
         let from = f.ladder()[self.levels[i]];
         let to = f.ladder()[to_level];
-        let new_used = self.used_rbs + f.weight() * (to - from);
-        let new_pen = self.penalty(new_used);
-        if new_pen == f64::NEG_INFINITY {
-            return f64::NEG_INFINITY;
-        }
-        (self.utils[i][to_level] - self.utils[i][self.levels[i]]) + (new_pen - self.cur_penalty)
+        // The same expression `shift` accumulates, so `commit` can reuse
+        // this penalty as `penalty(used_rbs)` of the moved state.
+        let penalty = self.penalty(self.used_rbs + f.weight() * (to - from));
+        let gain = if penalty == f64::NEG_INFINITY {
+            f64::NEG_INFINITY
+        } else {
+            (self.utils[i][to_level] - self.utils[i][self.levels[i]]) + (penalty - self.cur_penalty)
+        };
+        Price { gain, penalty }
     }
 
-    fn apply(&mut self, i: usize, to_level: usize) {
+    /// Moves flow `i` to `to_level`, taking `penalty` from the [`Price`] of
+    /// that same move.
+    fn commit(&mut self, i: usize, to_level: usize, penalty: f64) {
+        self.shift(i, to_level);
+        self.cur_penalty = penalty;
+    }
+
+    /// Moves flow `i` to `to_level` but leaves `cur_penalty` stale: the
+    /// caller must [`Eval::reprice`] or restore it before reading the
+    /// objective.
+    fn shift(&mut self, i: usize, to_level: usize) {
         let f = &self.spec.flows()[i];
         let from = f.ladder()[self.levels[i]];
         let to = f.ladder()[to_level];
         self.video_util += self.utils[i][to_level] - self.utils[i][self.levels[i]];
         self.used_rbs += f.weight() * (to - from);
         self.levels[i] = to_level;
+    }
+
+    fn reprice(&mut self) {
         self.cur_penalty = self.penalty(self.used_rbs);
     }
 }
@@ -154,25 +179,28 @@ pub fn solve_discrete(spec: &ProblemSpec) -> DiscreteSolution {
         if eval.levels[i] >= spec.flows()[i].max_level() {
             continue;
         }
-        let delta = eval.delta(i, eval.levels[i] + 1);
+        let delta = eval.price(i, eval.levels[i] + 1).gain;
         if delta > EPS {
             heap.push(Upgrade { delta, flow: i });
         }
     }
     while let Some(popped) = heap.pop() {
         let i = popped.flow;
-        let delta = eval.delta(i, eval.levels[i] + 1);
-        if delta > EPS {
-            let fresh = Upgrade { delta, flow: i };
+        let to = eval.levels[i] + 1;
+        let price = eval.price(i, to);
+        if price.gain > EPS {
+            let fresh = Upgrade {
+                delta: price.gain,
+                flow: i,
+            };
             if heap.peek().is_some_and(|top| *top > fresh) {
                 // Stale: a rival's cached bound beats the fresh gain.
                 heap.push(fresh);
             } else {
-                let to = eval.levels[i] + 1;
-                eval.apply(i, to);
+                eval.commit(i, to, price.penalty);
                 steps += 1;
-                if eval.levels[i] < spec.flows()[i].max_level() {
-                    let next = eval.delta(i, eval.levels[i] + 1);
+                if to < spec.flows()[i].max_level() {
+                    let next = eval.price(i, to + 1).gain;
                     if next > EPS {
                         heap.push(Upgrade {
                             delta: next,
@@ -199,9 +227,12 @@ pub fn solve_discrete(spec: &ProblemSpec) -> DiscreteSolution {
                     .filter(|&l| l >= f.min_level()),
                 Some(eval.levels[i] + 1).filter(|&l| l <= f.max_level()),
             ];
+            // Both candidates come from the level before the pass, so after
+            // a down move the up candidate is two rungs above the new level.
             for cand in candidates.into_iter().flatten() {
-                if eval.delta(i, cand) > EPS {
-                    eval.apply(i, cand);
+                let price = eval.price(i, cand);
+                if price.gain > EPS {
+                    eval.commit(i, cand, price.penalty);
                     improved = true;
                     steps += 1;
                 }
@@ -224,10 +255,12 @@ pub fn solve_discrete(spec: &ProblemSpec) -> DiscreteSolution {
                 }
                 let before = eval.objective();
                 let used_before = eval.used_rbs;
+                let pen_before = eval.cur_penalty;
                 let li = eval.levels[i];
                 let lj = eval.levels[j];
-                eval.apply(i, li - 1);
-                eval.apply(j, lj + 1);
+                eval.shift(i, li - 1);
+                eval.shift(j, lj + 1);
+                eval.reprice();
                 let after = eval.objective();
                 let keeps = after > before + EPS
                     || (after >= before - EPS && eval.used_rbs < used_before - 1e-9);
@@ -235,8 +268,16 @@ pub fn solve_discrete(spec: &ProblemSpec) -> DiscreteSolution {
                     improved = true;
                     steps += 1;
                 } else {
-                    eval.apply(j, lj);
-                    eval.apply(i, li);
+                    eval.shift(j, lj);
+                    eval.shift(i, li);
+                    // The penalty is a pure function of `used_rbs`, so when
+                    // undoing the two adds lands on the same bits the saved
+                    // penalty is the one `reprice` would compute.
+                    if eval.used_rbs.to_bits() == used_before.to_bits() {
+                        eval.cur_penalty = pen_before;
+                    } else {
+                        eval.reprice();
+                    }
                 }
             }
         }
@@ -326,6 +367,176 @@ mod tests {
             10.0 / bits_per_rb,
             max_level,
         )
+    }
+
+    /// The reference solver's moves: `apply` prices every state it reaches.
+    impl Eval<'_> {
+        fn delta(&self, i: usize, to_level: usize) -> f64 {
+            let f = &self.spec.flows()[i];
+            let from = f.ladder()[self.levels[i]];
+            let to = f.ladder()[to_level];
+            let new_used = self.used_rbs + f.weight() * (to - from);
+            let new_pen = self.penalty(new_used);
+            if new_pen == f64::NEG_INFINITY {
+                return f64::NEG_INFINITY;
+            }
+            (self.utils[i][to_level] - self.utils[i][self.levels[i]]) + (new_pen - self.cur_penalty)
+        }
+
+        fn apply(&mut self, i: usize, to_level: usize) {
+            let f = &self.spec.flows()[i];
+            let from = f.ladder()[self.levels[i]];
+            let to = f.ladder()[to_level];
+            self.video_util += self.utils[i][to_level] - self.utils[i][self.levels[i]];
+            self.used_rbs += f.weight() * (to - from);
+            self.levels[i] = to_level;
+            self.cur_penalty = self.penalty(self.used_rbs);
+        }
+    }
+
+    /// [`solve_discrete`] with every state priced: each rejected swap trial
+    /// makes four `apply` calls. The differential tests below hold the
+    /// solver to this one's levels, `steps` and objective bits. Also
+    /// returns the number of polish passes.
+    fn solve_discrete_reference(spec: &ProblemSpec) -> (DiscreteSolution, usize) {
+        let utils: Vec<Vec<f64>> = spec.flows().iter().map(level_utils).collect();
+        let mut eval = Eval::new(spec, &utils);
+        if spec.is_overloaded() {
+            return (finish(spec, eval.levels), 0);
+        }
+
+        const EPS: f64 = 1e-12;
+        let mut steps: u64 = 0;
+
+        let mut heap: BinaryHeap<Upgrade> = BinaryHeap::with_capacity(eval.levels.len());
+        for i in 0..eval.levels.len() {
+            if eval.levels[i] >= spec.flows()[i].max_level() {
+                continue;
+            }
+            let delta = eval.delta(i, eval.levels[i] + 1);
+            if delta > EPS {
+                heap.push(Upgrade { delta, flow: i });
+            }
+        }
+        while let Some(popped) = heap.pop() {
+            let i = popped.flow;
+            let delta = eval.delta(i, eval.levels[i] + 1);
+            if delta > EPS {
+                let fresh = Upgrade { delta, flow: i };
+                if heap.peek().is_some_and(|top| *top > fresh) {
+                    heap.push(fresh);
+                } else {
+                    let to = eval.levels[i] + 1;
+                    eval.apply(i, to);
+                    steps += 1;
+                    if eval.levels[i] < spec.flows()[i].max_level() {
+                        let next = eval.delta(i, eval.levels[i] + 1);
+                        if next > EPS {
+                            heap.push(Upgrade {
+                                delta: next,
+                                flow: i,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+
+        let n = eval.levels.len();
+        let mut passes = 0;
+        loop {
+            passes += 1;
+            let mut improved = false;
+            for i in 0..n {
+                let f = &spec.flows()[i];
+                let candidates = [
+                    eval.levels[i]
+                        .checked_sub(1)
+                        .filter(|&l| l >= f.min_level()),
+                    Some(eval.levels[i] + 1).filter(|&l| l <= f.max_level()),
+                ];
+                for cand in candidates.into_iter().flatten() {
+                    if eval.delta(i, cand) > EPS {
+                        eval.apply(i, cand);
+                        improved = true;
+                        steps += 1;
+                    }
+                }
+            }
+            for i in 0..n {
+                for j in 0..n {
+                    if eval.levels[i] <= spec.flows()[i].min_level() {
+                        break;
+                    }
+                    if i == j || eval.levels[j] >= spec.flows()[j].max_level() {
+                        continue;
+                    }
+                    let before = eval.objective();
+                    let used_before = eval.used_rbs;
+                    let li = eval.levels[i];
+                    let lj = eval.levels[j];
+                    eval.apply(i, li - 1);
+                    eval.apply(j, lj + 1);
+                    let after = eval.objective();
+                    let keeps = after > before + EPS
+                        || (after >= before - EPS && eval.used_rbs < used_before - 1e-9);
+                    if keeps {
+                        improved = true;
+                        steps += 1;
+                    } else {
+                        eval.apply(j, lj);
+                        eval.apply(i, li);
+                    }
+                }
+            }
+            if !improved {
+                break;
+            }
+        }
+
+        let mut sol = finish(spec, eval.levels);
+        sol.steps = steps;
+        (sol, passes)
+    }
+
+    /// Asserts `solve_discrete` reproduces the reference bit for bit and
+    /// returns the reference's polish passes.
+    fn assert_matches_reference(spec: &ProblemSpec) -> usize {
+        let (want, passes) = solve_discrete_reference(spec);
+        let got = solve_discrete(spec);
+        assert_eq!(got.levels, want.levels);
+        assert_eq!(got.steps, want.steps);
+        assert_eq!(got.objective.to_bits(), want.objective.to_bits());
+        assert_eq!(got.r.to_bits(), want.r.to_bits());
+        passes
+    }
+
+    /// One flow of a random differential instance: bits/RB, the lowest
+    /// rate, 1–11 rung-to-rung factors, θ, the previous level and a floor.
+    type RandomFlow = (f64, f64, Vec<f64>, f64, usize, usize);
+
+    fn random_flow() -> impl Strategy<Value = RandomFlow> {
+        (
+            32.0f64..1424.0,
+            50e3f64..400e3,
+            prop::collection::vec(1.05f64..2.5, 1..12),
+            0.05e6f64..0.5e6,
+            0usize..12,
+            0usize..12,
+        )
+    }
+
+    /// A 2–12 rung ladder capped one rung above the previous level
+    /// (constraint (4b)), with a floor of its own.
+    fn random_flow_spec(flow: &RandomFlow) -> FlowSpec {
+        let (bits_per_rb, base_rate, rung_factors, theta, prev, min) = flow;
+        let mut ladder = vec![*base_rate];
+        for &k in rung_factors {
+            ladder.push(ladder[ladder.len() - 1] * k);
+        }
+        let prev = prev % ladder.len();
+        let min = min % ladder.len();
+        FlowSpec::new(ladder, 10.0, *theta, 10.0 / bits_per_rb, prev + 1).with_min_level(min)
     }
 
     #[test]
@@ -445,6 +656,62 @@ mod tests {
             .build()
             .unwrap();
         let _ = solve_exhaustive(&spec);
+    }
+
+    #[test]
+    fn matches_reference_on_fig9_shaped_instance() {
+        // 256 clients and 16 data flows, channels spread over 32–1424
+        // bits/RB and stability caps over rungs 1–5. The budget is half the
+        // fig9_decide cell's 1600 RBs/TTI over a 10 s BAI, so (4a) binds
+        // and the polish keeps swaps over several passes.
+        let flows = (0..256usize).map(|k| {
+            let bits_per_rb = 32.0 + 1392.0 * ((k * 97) % 256) as f64 / 255.0;
+            paper_flow(bits_per_rb, 1 + (k * 7) % 6)
+        });
+        let spec = ProblemSpec::builder()
+            .total_rbs(8e6)
+            .data_flows(16, 1.0)
+            .flows(flows)
+            .build()
+            .unwrap();
+        assert!(!spec.is_overloaded());
+        let passes = assert_matches_reference(&spec);
+        assert!(passes > 1, "only {passes} polish pass(es): no swap kept");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn matches_reference_bit_for_bit(
+            flows in prop::collection::vec(random_flow(), 1..=48),
+            n_data in 0usize..=16,
+            alpha in 0.25f64..4.0,
+            load in -0.1f64..1.2,
+        ) {
+            // `load` places the RB budget between the floors (0) and every
+            // flow at its cap (1): near 0 the cap binds hard, above 1 it is
+            // slack, and below 0 the floors alone overload the cell.
+            let flows: Vec<FlowSpec> = flows.iter().map(random_flow_spec).collect();
+            let r_cap = if n_data > 0 { 0.999 } else { 1.0 };
+            let rbs_at = |pick: fn(&FlowSpec) -> usize| -> f64 {
+                flows.iter().map(|f| f.weight() * f.ladder()[pick(f)]).sum()
+            };
+            let floor = rbs_at(FlowSpec::min_level);
+            let top = rbs_at(FlowSpec::max_level);
+            let target = if load < 0.0 {
+                floor * (1.0 + load)
+            } else {
+                floor + load * (top - floor)
+            };
+            let spec = ProblemSpec::builder()
+                .total_rbs(target / r_cap)
+                .data_flows(n_data, alpha)
+                .flows(flows)
+                .build()
+                .unwrap();
+            prop_assert_eq!(spec.r_cap(), r_cap);
+            assert_matches_reference(&spec);
+        }
     }
 
     proptest! {

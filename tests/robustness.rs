@@ -15,6 +15,7 @@ use flare_lte::{CellConfig, ENodeB, FlowClass, FlowId, Itbs};
 use flare_scenarios::{CellSim, SchemeKind, SimConfig};
 use flare_sim::units::ByteCount;
 use flare_sim::{Time, TimeDelta};
+use flare_trace::{Category, TraceConfig, TraceHandle};
 use proptest::prelude::*;
 
 fn keep_backlogged(enb: &mut ENodeB, flows: &[FlowId]) {
@@ -394,9 +395,11 @@ proptest! {
 #[test]
 fn overloaded_cell_starves_gracefully() {
     // Eight clients all at iTbs 0: the whole cell carries 1.6 Mbps, a fair
-    // share of 200 kbps each. The optimizer packs what fits (a mix of the
-    // two lowest tiers), nothing panics, and MAC byte accounting matches
-    // the cell's physical capacity.
+    // share of 200 kbps each. Despite the name the solver never sees an
+    // overloaded instance: the floors (8 × 100 kbps) fit, so
+    // `is_overloaded` is false. The optimizer packs what fits (a mix of
+    // the two lowest tiers), nothing panics, and MAC byte accounting
+    // matches the cell's physical capacity.
     let mut enb = ENodeB::new(CellConfig::default(), Box::new(TwoPhaseGbr::default()));
     let flows: Vec<FlowId> = (0..8)
         .map(|_| enb.add_flow(FlowClass::Video, Box::new(StaticChannel::new(Itbs::new(0)))))
@@ -435,4 +438,43 @@ fn overloaded_cell_starves_gracefully() {
         (total as f64) > expected * 0.95 && (total as f64) <= expected * 1.01,
         "byte conservation violated: {total} vs ~{expected}"
     );
+}
+
+#[test]
+fn overloaded_bais_return_floors_and_are_counted() {
+    // 24 clients at iTbs 0: their 100 kbps floors add up to 2.4 Mbps, over
+    // the 1.6 Mbps the whole cell carries, so every BAI's instance is
+    // overloaded. The server hands out the floors, flags each solve event
+    // and counts each such BAI.
+    let mut enb = ENodeB::new(CellConfig::default(), Box::new(TwoPhaseGbr::default()));
+    let flows: Vec<FlowId> = (0..24)
+        .map(|_| enb.add_flow(FlowClass::Video, Box::new(StaticChannel::new(Itbs::new(0)))))
+        .collect();
+    let mut server = OneApiServer::new(FlareConfig::default());
+    let trace = TraceHandle::new(TraceConfig::info());
+    server.set_trace(trace.clone());
+    for &f in &flows {
+        server.register_video(ClientInfo::new(f, BitrateLadder::simulation()));
+    }
+    for bai in 0..3u64 {
+        keep_backlogged(&mut enb, &flows);
+        let report = run_bai(&mut enb, bai);
+        let la = enb.link_adaptation().clone();
+        let assignments = server.assign(&report, &la, 50);
+        assert_eq!(assignments.len(), 24);
+        for a in &assignments {
+            assert_eq!(a.level.index(), 0, "overload must pin every floor");
+            enb.set_gbr(a.flow, Some(a.rate));
+        }
+    }
+    assert_eq!(trace.snapshot().counter("solver.overloaded"), 3);
+    let solves: Vec<_> = trace
+        .events()
+        .into_iter()
+        .filter(|e| e.category == Category::Solver && e.name == "solve")
+        .collect();
+    assert_eq!(solves.len(), 3);
+    for e in &solves {
+        assert_eq!(e.bool_field("overloaded"), Some(true), "{e:?}");
+    }
 }
