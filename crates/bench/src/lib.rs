@@ -1,17 +1,13 @@
-//! Benchmark harness for the FLARE reproduction.
-//!
-//! Two entry points:
+//! Command-line helpers for the FLARE reproduction's binaries.
 //!
 //! * the **`repro` binary** (`cargo run --release -p flare-bench --bin
 //!   repro -- <experiment>`) regenerates every table and figure of the
 //!   paper's evaluation and prints the rows/series the paper reports;
-//! * the **Criterion benches** (`cargo bench -p flare-bench`) measure the
-//!   performance-sensitive components: the per-BAI solvers at the paper's
-//!   32/64/128-client scale (Figure 9's workload), the per-TTI MAC
-//!   schedulers, the throughput estimators, and a full-stack simulation
-//!   slice per scheme.
+//! * the **`inspect` binary** digests a structured trace, recorded or live.
 //!
-//! This library only hosts shared helpers for those targets.
+//! The repository benchmark is the separate `perfbench/` package.
+//!
+//! This library only hosts `repro`'s command-line parsing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,23 +15,12 @@
 use flare_scenarios::experiments::ExperimentParams;
 use flare_sim::TimeDelta;
 
-/// Parses the common sizing flags used by `repro` and the benches:
-/// `--quick`, `--runs N`, `--secs S`, `--seed K`, `--jobs N`.
+/// Parses the sizing flags: `--quick`, `--runs N`, `--secs S`, `--seed K`,
+/// `--jobs N`, starting from the paper-scale sizes.
 ///
 /// Unrecognized arguments are returned for the caller to interpret.
 pub fn parse_params(args: &[String]) -> (ExperimentParams, Vec<String>) {
-    parse_params_from(ExperimentParams::paper(), args)
-}
-
-/// [`parse_params`] starting from `defaults` instead of the paper-scale
-/// sizes. The bench binaries pass their own run count and duration here;
-/// `--quick`, `--runs` and `--secs` override them exactly as they override
-/// the paper defaults.
-pub fn parse_params_from(
-    defaults: ExperimentParams,
-    args: &[String],
-) -> (ExperimentParams, Vec<String>) {
-    let mut params = defaults;
+    let mut params = ExperimentParams::paper();
     let mut jobs = None;
     let mut rest = Vec::new();
     let mut it = args.iter();
@@ -147,24 +132,6 @@ mod tests {
         assert_eq!(p.testbed_duration, TimeDelta::from_secs(300));
         assert_eq!(p.seed, 9);
         assert_eq!(rest, vec!["all".to_owned()]);
-    }
-
-    #[test]
-    fn bench_defaults_apply_only_when_flags_are_absent() {
-        let defaults = ExperimentParams {
-            runs: 4,
-            duration: TimeDelta::from_secs(30),
-            ..ExperimentParams::paper()
-        };
-        let (p, _) = parse_params_from(defaults, &args(&["--runs", "20", "--secs", "60"]));
-        assert_eq!(p.runs, 20, "an explicit --runs 20 is honoured");
-        assert_eq!(p.duration, TimeDelta::from_secs(60));
-        let (p, _) = parse_params_from(defaults, &args(&["--secs", "60"]));
-        assert_eq!(p.runs, 4, "absent --runs keeps the bench default");
-        assert_eq!(p.duration, TimeDelta::from_secs(60), "--secs is kept");
-        let (p, rest) = parse_params_from(defaults, &args(&["out.json"]));
-        assert_eq!((p.runs, p.duration), (4, TimeDelta::from_secs(30)));
-        assert_eq!(rest, vec!["out.json".to_owned()]);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   mis-coordination of AVIS-style systems.
 //! * [`PcrfRegistry`] — the policy function's view of which flows exist,
 //!   giving the server the data-flow count `n`.
-//! * [`messages`] — the (serializable) wire protocol between plugin and
+//! * [`messages`] — the wire protocol between plugin and
 //!   server, carrying only privacy-preserving information.
 //!
 //! # Example

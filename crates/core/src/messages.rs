@@ -3,8 +3,8 @@
 //! The paper leaves the concrete message formats to future standardization
 //! ("these message exchange procedures can be standardized by extending
 //! related existing standards for telecommunications APIs"), but FLARE's
-//! privacy argument rests on *what* the messages carry. These serializable
-//! types pin that down:
+//! privacy argument rests on *what* the messages carry. These types pin
+//! that down:
 //!
 //! * [`ClientHello`] — sent when a video starts: the anonymized bitrate
 //!   list (no title, no URL) plus whatever preferences the client opts to
@@ -16,8 +16,6 @@
 //! All quantities are plain integers in explicit units (kbps, bytes, ms) so
 //! the wire format is implementation-independent.
 
-use serde::{Deserialize, Serialize};
-
 use flare_has::{BitrateLadder, Level};
 use flare_lte::{FlowId, IntervalReport};
 use flare_sim::units::Rate;
@@ -25,7 +23,7 @@ use flare_sim::units::Rate;
 use crate::client::{ClientInfo, ClientPrefs};
 
 /// Plugin → server: a video stream is starting on `flow_id`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClientHello {
     /// The flow carrying the video (dense cell-local index).
     pub flow_id: u32,
@@ -89,7 +87,7 @@ impl ClientHello {
 /// whose sequence number does not advance their view, so a message delayed
 /// or reordered by an unreliable control plane can never roll a client back
 /// to an older decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AssignmentMsg {
     /// The video flow being assigned.
     pub flow_id: u32,
@@ -117,7 +115,7 @@ impl From<&crate::server::Assignment> for AssignmentMsg {
 }
 
 /// One flow's counters inside a [`StatsReportMsg`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowStatsMsg {
     /// The flow the counters describe.
     pub flow_id: u32,
@@ -130,7 +128,7 @@ pub struct FlowStatsMsg {
 }
 
 /// eNodeB → server: the periodic statistics report.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StatsReportMsg {
     /// Interval start, in ms since simulation start.
     pub start_ms: u64,

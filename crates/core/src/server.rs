@@ -150,6 +150,15 @@ impl OneApiServer {
             .map(|c| Level::new(c.state.level))
     }
 
+    /// The lowest level `flow` accepts, if it is a registered client: its
+    /// level in the floor assignment of an overloaded BAI.
+    pub fn min_allowed_level(&self, flow: FlowId) -> Option<Level> {
+        self.clients
+            .iter()
+            .find(|c| c.info.flow() == flow)
+            .map(|c| c.info.min_allowed_level())
+    }
+
     /// Runs one BAI of Algorithm 1.
     ///
     /// `report` is the eNodeB's statistics for the elapsed BAI; `la` and

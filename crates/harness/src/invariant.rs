@@ -12,7 +12,8 @@
 //!   by at most one step per BAI and never beyond the ladder top.
 //! - [`RateFeasibility`]: solver outputs obey Eq. (4a) — the assigned rates,
 //!   weighted by the same previous-BAI `(n_u, b_u)` efficiency estimates the
-//!   server used, fit within the RB budget fraction `r_cap`.
+//!   server used, fit within the RB budget fraction `r_cap`, or use no more
+//!   than the floor assignment when the floors alone overload the cell.
 //! - [`PlayerSanity`]: player buffers never go negative, rebuffer counters
 //!   are monotone, and stall/resume transitions pair with them correctly.
 //! - [`MonotoneInstall`]: `VersionedAssignment` installs accept exactly the
@@ -73,6 +74,10 @@ pub enum Observation {
         used_fraction: f64,
         /// Budget cap from Eq. (4a) (`0.999` when data flows share the cell).
         r_cap: f64,
+        /// Fraction the floor assignment (every flow at its lowest allowed
+        /// level) uses under the same weights. Above `r_cap` the cell is
+        /// overloaded and the solvers return the floors.
+        floor_fraction: f64,
         /// Slack for discretization and kbps rounding in the message path.
         tolerance: f64,
     },
@@ -209,7 +214,8 @@ impl Invariant for OneStepUp {
     }
 }
 
-/// Eq. (4a): one BAI's assignments fit the RB budget fraction.
+/// Eq. (4a): one BAI's assignments fit the RB budget fraction, or, on an
+/// overloaded BAI, use no more than the floor assignment.
 #[derive(Debug, Default)]
 pub struct RateFeasibility;
 
@@ -223,11 +229,13 @@ impl Invariant for RateFeasibility {
             Observation::RateBudget {
                 used_fraction,
                 r_cap,
+                floor_fraction,
                 tolerance,
-            } if used_fraction > r_cap + tolerance => Some(Violation {
+            } if used_fraction > r_cap.max(floor_fraction) + tolerance => Some(Violation {
                 invariant: self.name(),
                 message: format!(
-                    "assignments use {used_fraction:.6} of the RB budget > r_cap {r_cap} (+{tolerance})"
+                    "assignments use {used_fraction:.6} of the RB budget > r_cap {r_cap} \
+                     and > the floors' {floor_fraction:.6} (+{tolerance})"
                 ),
             }),
             _ => None,
@@ -576,6 +584,7 @@ mod tests {
             &Observation::RateBudget {
                 used_fraction: 1.0009,
                 r_cap: 0.999,
+                floor_fraction: 0.2,
                 tolerance: 0.005,
             },
         );
@@ -585,10 +594,33 @@ mod tests {
             &Observation::RateBudget {
                 used_fraction: 1.2,
                 r_cap: 0.999,
+                floor_fraction: 0.2,
                 tolerance: 0.005,
             },
         );
         assert_eq!(set.violation_count(), 1);
+        // Overloaded BAI: the floors alone need 1.5 budgets. Handing out
+        // exactly the floors is allowed; anything above them is not.
+        set.observe(
+            t(5),
+            &Observation::RateBudget {
+                used_fraction: 1.5,
+                r_cap: 1.0,
+                floor_fraction: 1.5,
+                tolerance: 1e-6,
+            },
+        );
+        assert_eq!(set.violation_count(), 1);
+        set.observe(
+            t(5),
+            &Observation::RateBudget {
+                used_fraction: 1.55,
+                r_cap: 1.0,
+                floor_fraction: 1.5,
+                tolerance: 1e-6,
+            },
+        );
+        assert_eq!(set.violation_count(), 2);
     }
 
     fn player(buffer_ms: i64, stalled: bool, rebuffer_events: u64, finished: bool) -> Observation {

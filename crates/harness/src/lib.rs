@@ -29,4 +29,4 @@ pub use invariant::{
     Invariant, InvariantSet, LeaseReturn, MonotoneInstall, Observation, OneStepUp, PlayerSanity,
     RateFeasibility, RbConservation, Violation,
 };
-pub use pool::{effective_jobs, run_indexed, serial_parallel_divergence};
+pub use pool::{run_indexed, serial_parallel_divergence};

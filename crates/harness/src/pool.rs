@@ -17,7 +17,7 @@ use std::collections::VecDeque;
 use std::sync::Mutex;
 
 /// Resolves a `--jobs` request to a worker count: `0` means "all cores".
-pub fn effective_jobs(requested: usize) -> usize {
+fn effective_jobs(requested: usize) -> usize {
     if requested == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())

@@ -1,7 +1,5 @@
 //! Empirical cumulative distribution functions.
 
-use serde::Serialize;
-
 /// An empirical CDF over a finite sample.
 ///
 /// Used for every "CDF over 160 clients" plot in the paper's Section IV-B.
@@ -17,7 +15,7 @@ use serde::Serialize;
 /// assert_eq!(cdf.min(), 1.0);
 /// assert_eq!(cdf.max(), 4.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cdf {
     sorted: Vec<f64>,
 }

@@ -13,10 +13,8 @@
 //! with all rate terms in the same unit (kbps here) and the rebuffer term
 //! scaled by a rate-denominated penalty.
 
-use serde::Serialize;
-
 /// Weights of the linear QoE model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QoeWeights {
     /// Weight on the average magnitude of bitrate switches (dimensionless;
     /// 1.0 in the MPC paper's "balanced" instantiation).
@@ -37,7 +35,7 @@ impl Default for QoeWeights {
 }
 
 /// Inputs of the QoE model for one client session.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QoeInputs {
     /// Mean nominal bitrate over downloaded segments, kbps.
     pub average_rate_kbps: f64,

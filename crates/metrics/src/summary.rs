@@ -1,7 +1,5 @@
 //! Sample summaries: mean, deviation, extrema.
 
-use serde::Serialize;
-
 /// Mean / standard deviation / extrema of a sample — the "average ± std"
 /// bars of Figure 11.
 ///
@@ -17,7 +15,7 @@ use serde::Serialize;
 /// assert_eq!(s.max, 9.0);
 /// assert_eq!(s.count, 8);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Arithmetic mean.
     pub mean: f64,

@@ -1,7 +1,5 @@
 //! `(time, value)` traces for the Figure 4/5-style time-series plots.
 
-use serde::Serialize;
-
 /// A time series with monotone timestamps (seconds).
 ///
 /// # Example
@@ -16,7 +14,7 @@ use serde::Serialize;
 /// assert_eq!(ts.mean(), 480.0);
 /// assert_eq!(ts.value_at(12.0), Some(450.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
     label: String,
     points: Vec<(f64, f64)>,

@@ -368,10 +368,12 @@ impl CellSim {
                     // Recompute Eq. (4a) from the very statistics the server
                     // solved against: weight w_u = BAI / (8 b_u / n_u), rate
                     // R_u from the assignment, budget N = rbs_per_tti * BAI
-                    // TTIs (see `OneApiServer::assign`).
+                    // TTIs (see `OneApiServer::assign`). The floors' share
+                    // under the same weights bounds an overloaded BAI.
                     let bai_secs = report.duration().as_secs_f64();
                     let total_rbs = f64::from(rbs) * report.duration().as_millis() as f64;
                     let mut used = 0.0;
+                    let mut floor_used = 0.0;
                     for a in &assignments {
                         let idx = self.video_flows.iter().position(|&f| f == a.flow);
                         if let Some(idx) = idx {
@@ -391,7 +393,13 @@ impl CellSim {
                                 .map(|b| b * 8.0)
                                 .unwrap_or_else(|| la.bits_per_rb(stats.itbs))
                                 .max(1.0);
-                            used += (bai_secs / bits_per_rb) * a.rate.as_bps();
+                            let weight = bai_secs / bits_per_rb;
+                            let floor = server
+                                .min_allowed_level(a.flow)
+                                .map(|l| self.config.ladder.rate(l))
+                                .expect("assignment for an unregistered client");
+                            used += weight * a.rate.as_bps();
+                            floor_used += weight * floor.as_bps();
                         }
                     }
                     if !assignments.is_empty() && total_rbs > 0.0 {
@@ -403,6 +411,7 @@ impl CellSim {
                             &Observation::RateBudget {
                                 used_fraction: used / total_rbs,
                                 r_cap: if has_data { 0.999 } else { 1.0 },
+                                floor_fraction: floor_used / total_rbs,
                                 tolerance: 1e-6,
                             },
                         );

@@ -539,6 +539,33 @@ mod tests {
         FlowSpec::new(ladder, 10.0, *theta, 10.0 / bits_per_rb, prev + 1).with_min_level(min)
     }
 
+    /// A random differential instance. `load` places the RB budget between
+    /// the floors (0) and every flow at its cap (1): near 0 the cap binds
+    /// hard, above 1 it is slack, and below 0 the floors alone overload the
+    /// cell.
+    fn random_spec(flows: &[RandomFlow], n_data: usize, alpha: f64, load: f64) -> ProblemSpec {
+        let flows: Vec<FlowSpec> = flows.iter().map(random_flow_spec).collect();
+        let r_cap = if n_data > 0 { 0.999 } else { 1.0 };
+        let rbs_at = |pick: fn(&FlowSpec) -> usize| -> f64 {
+            flows.iter().map(|f| f.weight() * f.ladder()[pick(f)]).sum()
+        };
+        let floor = rbs_at(FlowSpec::min_level);
+        let top = rbs_at(FlowSpec::max_level);
+        let target = if load < 0.0 {
+            floor * (1.0 + load)
+        } else {
+            floor + load * (top - floor)
+        };
+        let spec = ProblemSpec::builder()
+            .total_rbs(target / r_cap)
+            .data_flows(n_data, alpha)
+            .flows(flows)
+            .build()
+            .unwrap();
+        assert_eq!(spec.r_cap(), r_cap);
+        spec
+    }
+
     #[test]
     fn underloaded_cell_saturates_all_flows() {
         let spec = ProblemSpec::builder()
@@ -688,29 +715,40 @@ mod tests {
             alpha in 0.25f64..4.0,
             load in -0.1f64..1.2,
         ) {
-            // `load` places the RB budget between the floors (0) and every
-            // flow at its cap (1): near 0 the cap binds hard, above 1 it is
-            // slack, and below 0 the floors alone overload the cell.
-            let flows: Vec<FlowSpec> = flows.iter().map(random_flow_spec).collect();
-            let r_cap = if n_data > 0 { 0.999 } else { 1.0 };
-            let rbs_at = |pick: fn(&FlowSpec) -> usize| -> f64 {
-                flows.iter().map(|f| f.weight() * f.ladder()[pick(f)]).sum()
-            };
-            let floor = rbs_at(FlowSpec::min_level);
-            let top = rbs_at(FlowSpec::max_level);
-            let target = if load < 0.0 {
-                floor * (1.0 + load)
-            } else {
-                floor + load * (top - floor)
-            };
-            let spec = ProblemSpec::builder()
-                .total_rbs(target / r_cap)
-                .data_flows(n_data, alpha)
-                .flows(flows)
-                .build()
-                .unwrap();
-            prop_assert_eq!(spec.r_cap(), r_cap);
-            assert_matches_reference(&spec);
+            assert_matches_reference(&random_spec(&flows, n_data, alpha, load));
+        }
+
+        #[test]
+        fn rescaling_rates_against_weights_changes_nothing(
+            flows in prop::collection::vec(random_flow(), 1..=48),
+            n_data in 0usize..=16,
+            alpha in 0.25f64..4.0,
+            load in -0.1f64..1.2,
+        ) {
+            // Metamorphic: the solver sees rates only through θ/R and w·R.
+            // Scaling every ladder rate and θ by k and every weight by 1/k
+            // keeps both exact for powers of two, so the solution must not
+            // move by a single bit.
+            let spec = random_spec(&flows, n_data, alpha, load);
+            let want = solve_discrete(&spec);
+            for k in [0.5, 2.0, 4.0] {
+                let flows = spec.flows().iter().map(|f| {
+                    let ladder = f.ladder().iter().map(|r| r * k).collect();
+                    FlowSpec::new(ladder, f.beta(), f.theta() * k, f.weight() / k, f.max_level())
+                        .with_min_level(f.min_level())
+                });
+                let scaled = ProblemSpec::builder()
+                    .total_rbs(spec.total_rbs())
+                    .data_flows(n_data, alpha)
+                    .flows(flows)
+                    .build()
+                    .unwrap();
+                let got = solve_discrete(&scaled);
+                prop_assert_eq!(&got.levels, &want.levels, "k = {}", k);
+                prop_assert_eq!(got.steps, want.steps, "k = {}", k);
+                prop_assert_eq!(got.objective.to_bits(), want.objective.to_bits(), "k = {}", k);
+                prop_assert_eq!(got.r.to_bits(), want.r.to_bits(), "k = {}", k);
+            }
         }
     }
 

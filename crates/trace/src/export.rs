@@ -1,6 +1,6 @@
 //! JSONL / CSV trace export and the matching JSONL parser.
 //!
-//! The vendored `serde` stand-in is a no-op, so serialization here is
+//! The workspace has no serialization dependency, so serialization here is
 //! hand-rolled. The format is deliberately tiny: each line is one flat JSON
 //! object with four reserved keys —
 //!

@@ -12,25 +12,23 @@
 //! * **Registry** ([`RegistrySnapshot`]): counters, gauges, and log2-bucket
 //!   histograms for aggregate, end-of-run telemetry — always cheap enough to
 //!   leave on.
-//! * **Spans** ([`SpanGuard`]): RAII wall-clock timers whose durations land
-//!   in registry histograms only.
 //!
 //! # Determinism
 //!
 //! Events carry simulation [`flare_sim::Time`] and a record-order sequence
 //! number — never wall-clock time. Wall-clock measurements (solver compute
-//! time, span durations) are confined to the registry, which is excluded
-//! from the event export. Consequently, the same seed produces a
-//! byte-identical JSONL trace ([`to_jsonl`]), and [`parse_jsonl`] inverts it
-//! exactly. This is enforced by `tests/observability.rs` at the workspace
-//! root.
+//! time) are confined to the registry, which is excluded from the event
+//! export. Consequently, the same seed produces a byte-identical JSONL
+//! trace ([`to_jsonl`]), and [`parse_jsonl`] inverts it exactly. This is
+//! enforced by `tests/observability.rs` at the workspace root.
 //!
 //! # Overhead
 //!
 //! A [`TraceHandle::disabled`] handle reduces every call to an `Option`
-//! discriminant check; `crates/bench/benches/trace.rs` verifies the
-//! instrumented TTI and solve paths stay within noise of the
-//! pre-instrumentation baseline when tracing is off.
+//! discriminant check (`disabled_handle_is_inert` pins that it records
+//! nothing). The workspace's `tests/alloc.rs` gates hold the instrumented
+//! TTI path at zero allocations, and the `perfbench/` benchmark reports the
+//! traced-vs-untraced cost as `trace.overhead_ratio`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,7 +42,7 @@ pub use event::{
     Category, EventBuilder, TraceEvent, TraceLevel, Value, ALL_CATEGORIES, CATEGORY_COUNT,
 };
 pub use export::{parse_jsonl, to_csv, to_json_line, to_jsonl, ParseError};
-pub use recorder::{CategoryConfig, SpanGuard, TraceConfig, TraceHandle};
+pub use recorder::{CategoryConfig, TraceConfig, TraceHandle};
 pub use registry::{HistogramSummary, RegistrySnapshot};
 
 #[cfg(test)]

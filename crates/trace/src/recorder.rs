@@ -3,7 +3,6 @@
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
-use std::time::Instant;
 
 use flare_sim::Time;
 
@@ -117,13 +116,13 @@ struct Inner {
 /// ring and registry via `Rc`) or *disabled* ([`TraceHandle::disabled`], the
 /// `Default`), in which case every method is a near-no-op: one `Option`
 /// discriminant check, no allocation, no interior mutability traffic. The
-/// instrumented hot paths (TTI loop, solver) rely on this — see
-/// `crates/bench/benches/trace.rs`.
+/// instrumented hot paths (TTI loop, solver) rely on this — see the
+/// workspace's `tests/alloc.rs`.
 ///
 /// Determinism: events carry simulation [`Time`] and a record-order sequence
-/// number only. Wall-clock durations (from [`TraceHandle::span`] or
-/// [`TraceHandle::observe`]) go exclusively into the registry, never into
-/// events, so the same seed always produces a byte-identical JSONL trace.
+/// number only. Wall-clock durations (through [`TraceHandle::observe`]) go
+/// exclusively into the registry, never into events, so the same seed
+/// always produces a byte-identical JSONL trace.
 #[derive(Debug, Clone, Default)]
 pub struct TraceHandle {
     inner: Option<Rc<Inner>>,
@@ -262,18 +261,6 @@ impl TraceHandle {
         }
     }
 
-    /// Starts a wall-clock span; on drop, the elapsed milliseconds are
-    /// observed into the `name` histogram. Registry only — wall time never
-    /// enters the event stream (it would break trace determinism).
-    pub fn span(&self, name: &'static str) -> SpanGuard {
-        SpanGuard {
-            inner: self
-                .inner
-                .as_ref()
-                .map(|i| (Rc::clone(i), name, Instant::now())),
-        }
-    }
-
     /// Copies out all buffered events, oldest first.
     pub fn events(&self) -> Vec<TraceEvent> {
         match &self.inner {
@@ -314,22 +301,6 @@ impl TraceHandle {
     /// Exports all buffered events as CSV (header + one row per event).
     pub fn to_csv(&self) -> String {
         crate::export::to_csv(&self.events())
-    }
-}
-
-/// RAII wall-clock timer returned by [`TraceHandle::span`].
-#[derive(Debug)]
-pub struct SpanGuard {
-    inner: Option<(Rc<Inner>, &'static str, Instant)>,
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        if let Some((inner, name, started)) = self.inner.take() {
-            inner
-                .registry
-                .observe(name, started.elapsed().as_secs_f64() * 1e3);
-        }
     }
 }
 
@@ -414,16 +385,5 @@ mod tests {
         h2.incr("plugin.installs", 1);
         assert_eq!(h.event_count(), 1);
         assert_eq!(h.snapshot().counter("plugin.installs"), 1);
-    }
-
-    #[test]
-    fn span_observes_wall_time_into_registry_only() {
-        let h = TraceHandle::new(TraceConfig::info());
-        {
-            let _g = h.span("solver.wall_ms");
-        }
-        let s = h.snapshot();
-        assert_eq!(s.histogram("solver.wall_ms").unwrap().count, 1);
-        assert_eq!(h.event_count(), 0);
     }
 }

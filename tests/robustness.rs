@@ -12,7 +12,7 @@ use flare_has::{AdaptContext, BitrateLadder, DownloadSample, Level, RateAdapter}
 use flare_lte::channel::{StaticChannel, TraceChannel};
 use flare_lte::scheduler::TwoPhaseGbr;
 use flare_lte::{CellConfig, ENodeB, FlowClass, FlowId, Itbs};
-use flare_scenarios::{CellSim, SchemeKind, SimConfig};
+use flare_scenarios::{CellSim, ChannelKind, SchemeKind, SimConfig};
 use flare_sim::units::ByteCount;
 use flare_sim::{Time, TimeDelta};
 use flare_trace::{Category, TraceConfig, TraceHandle};
@@ -477,4 +477,38 @@ fn overloaded_bais_return_floors_and_are_counted() {
     for e in &solves {
         assert_eq!(e.bool_field("overloaded"), Some(true), "{e:?}");
     }
+}
+
+#[test]
+fn overloaded_cell_runs_end_to_end_at_the_floors() {
+    // The same overload as above, driven through a whole `CellSim` run with
+    // the invariant battery in hard-fail mode: 24 FLARE players at iTbs 0
+    // cannot all stream even at 100 kbps. Every BAI is overloaded, the
+    // server hands out the floors, and (4a)'s check accepts them because
+    // they use no more of the budget than the floors themselves.
+    let config = SimConfig::builder()
+        .videos(24)
+        .data_flows(0)
+        .channel(ChannelKind::Static { itbs: 0 })
+        .scheme(SchemeKind::Flare(FlareConfig::default()))
+        .duration(TimeDelta::from_secs(60))
+        .bai(TimeDelta::from_secs(10))
+        .check_invariants(true)
+        .build();
+    let lowest = config.ladder.rate(config.ladder.lowest()).as_kbps();
+    let result = CellSim::new(config).run();
+    assert_eq!(result.videos.len(), 24);
+    for v in &result.videos {
+        assert!(
+            !v.rate_series.is_empty(),
+            "client {} never started",
+            v.index
+        );
+        for &(t, kbps) in v.rate_series.points() {
+            assert_eq!(kbps, lowest, "client {} left level 0 at {t} s", v.index);
+        }
+    }
+    let bais = result.solve_times.len() as u64;
+    assert_eq!(bais, 6, "one solve per 10 s BAI of the 60 s run");
+    assert_eq!(result.telemetry.counter("solver.overloaded"), bais);
 }
