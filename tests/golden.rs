@@ -90,3 +90,11 @@ fn golden_gbr_only_trace() {
 fn golden_mixed_flare_trace() {
     check_golden("fig10");
 }
+
+/// FLARE on the paper's vehicular mobile cell (8 UEs, random-waypoint
+/// mobility with shadowing): the only snapshot whose channels move, so it
+/// pins channel polling and the idle-TTI path under time-varying iTbs.
+#[test]
+fn golden_mobile_flare_trace() {
+    check_golden("fig7");
+}
