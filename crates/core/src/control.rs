@@ -203,6 +203,9 @@ impl ControlPlane {
     /// recording never consults the fault RNG, so attaching a recorder
     /// cannot perturb the fault pattern.
     pub fn with_trace(mut self, trace: TraceHandle) -> Self {
+        // The delivery counter exists from the start even if nothing is
+        // ever delivered (the receive paths skip empty links).
+        trace.incr("control.delivered", 0);
         self.trace = trace;
         self
     }
@@ -272,6 +275,9 @@ impl ControlPlane {
     /// Reports due while the server is inside an outage window are lost
     /// (the server was not there to take the connection).
     pub fn recv_reports(&mut self, now: Time) -> Vec<StatsReportMsg> {
+        if self.uplink.is_empty() {
+            return Vec::new();
+        }
         let due = Self::take_due(&mut self.uplink, now);
         let mut out = Vec::with_capacity(due.len());
         for m in due {
@@ -308,6 +314,9 @@ impl ControlPlane {
     /// Client side: receives every assignment due by `now`, in delivery
     /// order (reordered messages genuinely arrive late).
     pub fn recv_assignments(&mut self, now: Time) -> Vec<AssignmentMsg> {
+        if self.downlink.is_empty() {
+            return Vec::new();
+        }
         let due = Self::take_due(&mut self.downlink, now);
         self.stats.delivered += due.len() as u64;
         self.trace.incr("control.delivered", due.len() as u64);

@@ -64,6 +64,9 @@ struct FlowState {
     // Lifetime counters.
     total_bytes: ByteCount,
     last_itbs: Itbs,
+    /// When the channel must next be polled: `last_itbs` holds until then
+    /// ([`ChannelModel::valid_until`]). `Time::ZERO` until the first poll.
+    poll_at: Time,
 }
 
 impl std::fmt::Debug for Box<dyn ChannelModel> {
@@ -84,9 +87,12 @@ pub struct ENodeB {
     report_start: Time,
     now: Time,
     expired_leases: u64,
-    /// GBR leases currently ticking (flows whose `gbr_expires` is set);
-    /// the per-TTI expiry scan runs only while it is non-zero.
-    open_leases: usize,
+    /// A lower bound on the earliest open lease's expiry (`Time::MAX` when
+    /// none has been granted since the last scan). The expiry scan runs
+    /// only once a TTI reaches it, and sets it to the exact earliest expiry
+    /// still open. A cancelled or renewed lease leaves it early, which
+    /// costs one scan that finds nothing due.
+    lease_due: Time,
     /// RBs granted in the most recent TTI (as summed over scheduler grants).
     last_tti_granted: u32,
     /// Test-only distortion added to [`ENodeB::last_tti_granted_rbs`]; lets
@@ -105,21 +111,17 @@ pub struct ENodeB {
     tti_grants: Vec<RbAllocation>,
     tti_delivered: Vec<Delivered>,
     tti_expired: Vec<u64>,
-    /// True while the cell is provably inert: no backlog, no leases, every
-    /// bearer bucket at its burst cap, every channel time-invariant, and a
-    /// scheduler whose idle TTI is a pure settle. Under this flag
-    /// [`ENodeB::step_tti`] reduces to that settle plus the trace tick —
-    /// the outcome is bit-identical to the full path. Cleared by any flow
-    /// mutation (see [`ENodeB::flow_mut`]) and re-derived after each fully
-    /// idle TTI.
+    /// True while the cell is provably inert: no backlog, every bearer
+    /// bucket at its burst cap, and a scheduler whose idle TTI is a pure
+    /// settle. Until `lease_due`, [`ENodeB::step_tti`] then reduces to that
+    /// settle plus the trace tick and skips the channel polls — the outcome
+    /// is bit-identical to the full path. Cleared by any flow mutation (see
+    /// [`ENodeB::flow_mut`]) and re-derived after each fully idle TTI.
     quiescent: bool,
-    /// All attached channels report [`ChannelModel::is_time_invariant`];
-    /// maintained by [`ENodeB::add_flow`].
-    channels_static: bool,
-    /// Every channel is time-invariant and has been polled into
-    /// `tti_states`, so [`ENodeB::step_tti`] skips the per-TTI poll. Cleared
-    /// by [`ENodeB::add_flow`].
-    channels_polled: bool,
+    /// A quiescent TTI skipped the channel polls that fell due in it. The
+    /// next full TTI polls them; [`ENodeB::take_report`] catches them up
+    /// first if it comes sooner.
+    polls_skipped: bool,
 }
 
 impl std::fmt::Debug for ENodeB {
@@ -146,7 +148,7 @@ impl ENodeB {
             report_start: Time::ZERO,
             now: Time::ZERO,
             expired_leases: 0,
-            open_leases: 0,
+            lease_due: Time::MAX,
             last_tti_granted: 0,
             reported_grant_inflation: 0,
             trace: TraceHandle::disabled(),
@@ -155,8 +157,7 @@ impl ENodeB {
             tti_delivered: Vec::new(),
             tti_expired: Vec::new(),
             quiescent: false,
-            channels_static: true,
-            channels_polled: false,
+            polls_skipped: false,
         }
     }
 
@@ -170,10 +171,11 @@ impl ENodeB {
     /// Attaches a flow with its own channel process. Data flows are greedy
     /// (always backlogged); video flows start with an empty queue.
     pub fn add_flow(&mut self, class: FlowClass, channel: Box<dyn ChannelModel>) -> FlowId {
+        // Bring the existing flows up to date first, so a report taken
+        // before the next TTI catches up none but them.
+        self.catch_up_polls();
         let id = FlowId(self.flows.len() as u32);
         self.quiescent = false;
-        self.channels_static &= channel.is_time_invariant();
-        self.channels_polled = false;
         let initial_itbs = Itbs::new(0);
         self.tti_states.push(FlowTtiState {
             flow: id,
@@ -197,6 +199,7 @@ impl ENodeB {
             interval_bytes: ByteCount::ZERO,
             total_bytes: ByteCount::ZERO,
             last_itbs: initial_itbs,
+            poll_at: Time::ZERO,
         });
         id
     }
@@ -235,7 +238,7 @@ impl ENodeB {
         let window = self.config.gbr_burst_window;
         let st = self.flow_mut(flow);
         // A plain set is persistent: it cancels any outstanding lease.
-        let cancelled = st.gbr_expires.take().is_some();
+        st.gbr_expires = None;
         st.qos.gbr = gbr;
         match (gbr, st.gbr_bucket.as_mut()) {
             (Some(rate), Some(bucket)) => bucket.set_rate(rate),
@@ -247,7 +250,6 @@ impl ENodeB {
             }
             (None, _) => st.gbr_bucket = None,
         }
-        self.open_leases -= usize::from(cancelled);
     }
 
     /// Sets a flow's guaranteed bit rate as a *lease* that self-destructs at
@@ -277,7 +279,7 @@ impl ENodeB {
         self.trace.incr("enforce.lease_grants", 1);
         self.set_gbr(flow, Some(gbr));
         self.flow_mut(flow).gbr_expires = Some(expires_at);
-        self.open_leases += 1;
+        self.lease_due = self.lease_due.min(expires_at);
     }
 
     /// When the flow's GBR lease expires (`None`: no GBR, or persistent).
@@ -337,11 +339,6 @@ impl ENodeB {
         self.flows[flow.index()].backlog
     }
 
-    /// The iTbs operating point a flow saw in the most recent TTI.
-    pub fn current_itbs(&self, flow: FlowId) -> Itbs {
-        self.flows[flow.index()].last_itbs
-    }
-
     fn flow_mut(&mut self, flow: FlowId) -> &mut FlowState {
         // Every externally driven flow mutation (backlog, QoS, leases) comes
         // through here, so this is the one choke point that must re-arm the
@@ -366,11 +363,14 @@ impl ENodeB {
         self.now = now;
 
         // Quiescent fast path: when the previous TTI proved the cell inert
-        // (see the `quiescent` field), the full path below would rebuild an
-        // identical flow snapshot, grant nothing, and deliver nothing. Its
-        // only observable effects — the scheduler's idle settle and the MAC
-        // trace tick — are replayed here verbatim.
-        if self.quiescent {
+        // (see the `quiescent` field) and no lease falls due, the full path
+        // below would grant nothing and deliver nothing. Its only observable
+        // effects — the scheduler's idle settle and the MAC trace tick — are
+        // replayed here verbatim. The settle reads no channel state, so the
+        // channel polls wait: every model's value is a function of time
+        // alone, and a later poll catches up with the same draws.
+        if self.quiescent && now < self.lease_due {
+            self.polls_skipped = true;
             let idled = self.scheduler.idle_tick(&self.tti_states);
             debug_assert!(idled, "a quiescent cell's scheduler must idle");
             self.tti_grants.clear();
@@ -385,21 +385,25 @@ impl ENodeB {
             return &self.tti_delivered;
         }
 
-        // 0. Expire GBR leases that were not renewed.
+        // 0. Expire GBR leases that were not renewed. `lease_due` never
+        // passes an open lease's expiry, so each lease ends on its own TTI.
         self.tti_expired.clear();
-        if self.open_leases > 0 {
+        if now >= self.lease_due {
+            let mut next_due = Time::MAX;
             for (i, st) in self.flows.iter_mut().enumerate() {
-                if let Some(expires_at) = st.gbr_expires {
-                    if now >= expires_at {
+                match st.gbr_expires {
+                    Some(expires_at) if now >= expires_at => {
                         st.gbr_expires = None;
                         st.qos.gbr = None;
                         st.gbr_bucket = None;
                         self.expired_leases += 1;
-                        self.open_leases -= 1;
                         self.tti_expired.push(i as u64);
                     }
+                    Some(expires_at) => next_due = next_due.min(expires_at),
+                    None => {}
                 }
             }
+            self.lease_due = next_due;
         }
         if !self.tti_expired.is_empty() {
             self.trace
@@ -412,16 +416,12 @@ impl ENodeB {
             }
         }
 
-        // 1. Refresh channels and bearer buckets into the flow table.
-        let poll = !self.channels_polled;
+        // 1. Refresh channels and bearer buckets into the flow table. A
+        // channel is polled only once its last value's validity ends.
         let mut any_backlog = false;
         for (st, state) in self.flows.iter_mut().zip(&mut self.tti_states) {
-            if poll {
-                let itbs = st.channel.itbs_at(now);
-                if itbs != st.last_itbs {
-                    st.last_itbs = itbs;
-                    state.bits_per_rb = self.config.link_adaptation.bits_per_rb(itbs);
-                }
+            if now >= st.poll_at {
+                poll_channel(st, state, &self.config.link_adaptation, now);
             }
             if let Some(b) = st.gbr_bucket.as_mut() {
                 b.advance(now);
@@ -441,7 +441,7 @@ impl ENodeB {
                 .as_ref()
                 .map_or(ByteCount::ZERO, |b| b.available());
         }
-        self.channels_polled = self.channels_static;
+        self.polls_skipped = false;
 
         // 2. Schedule into the reused grants buffer. A backlog-free TTI
         // takes the scheduler's idle settle when the policy offers one
@@ -519,15 +519,14 @@ impl ENodeB {
         }
 
         // Arm the quiescent fast path for the next TTI: an idle settle just
-        // happened, every channel is pinned, no lease is ticking, and every
-        // bucket is already at its cap — so the next TTI can only repeat
-        // this one.
-        if took_idle && self.channels_static && self.open_leases == 0 {
-            self.quiescent = self.flows.iter().all(|st| {
+        // happened and every bucket is already at its cap, so until new
+        // traffic, a QoS change or a lease expiry the next TTI can only
+        // repeat this one.
+        self.quiescent = took_idle
+            && self.flows.iter().all(|st| {
                 st.gbr_bucket.as_ref().is_none_or(TokenBucket::is_full)
                     && st.mbr_bucket.as_ref().is_none_or(TokenBucket::is_full)
             });
-        }
         &self.tti_delivered
     }
 
@@ -535,6 +534,9 @@ impl ENodeB {
     /// since the previous report — the paper's periodic Statistics Reporter
     /// message to the OneAPI server.
     pub fn take_report(&mut self, now: Time) -> IntervalReport {
+        // Each flow reports the iTbs of the most recent TTI, as if it had
+        // been polled through the quiescent TTIs too.
+        self.catch_up_polls();
         let start = self.report_start;
         self.report_start = now;
         let flows = self
@@ -569,6 +571,21 @@ impl ENodeB {
         report
     }
 
+    /// Polls, at the most recent TTI's time, the channels whose polls
+    /// quiescent TTIs skipped.
+    fn catch_up_polls(&mut self) {
+        if !self.polls_skipped {
+            return;
+        }
+        self.polls_skipped = false;
+        let now = self.now;
+        for (st, state) in self.flows.iter_mut().zip(&mut self.tti_states) {
+            if now >= st.poll_at {
+                poll_channel(st, state, &self.config.link_adaptation, now);
+            }
+        }
+    }
+
     /// Lifetime bytes delivered to a flow.
     pub fn total_bytes(&self, flow: FlowId) -> ByteCount {
         self.flows[flow.index()].total_bytes
@@ -594,10 +611,21 @@ impl ENodeB {
     }
 }
 
+/// Polls a flow's channel at `now` and refreshes its cached bits/RB when the
+/// iTbs moved (the channel→iTbs→TBS cache).
+fn poll_channel(st: &mut FlowState, state: &mut FlowTtiState, la: &LinkAdaptation, now: Time) {
+    let itbs = st.channel.itbs_at(now);
+    st.poll_at = st.channel.valid_until(now);
+    if itbs != st.last_itbs {
+        st.last_itbs = itbs;
+        state.bits_per_rb = la.bits_per_rb(itbs);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::StaticChannel;
+    use crate::channel::{StaticChannel, TriangleWave};
     use crate::scheduler::{ProportionalFair, TwoPhaseGbr};
     use flare_sim::TTI;
 
@@ -834,9 +862,9 @@ mod tests {
         run_ttis(&mut enb, 0, 10);
         let late = enb.add_flow(FlowClass::Data, Box::new(StaticChannel::new(Itbs::new(9))));
         run_ttis(&mut enb, 10, 10);
-        assert_eq!(enb.current_itbs(first), Itbs::new(4));
-        assert_eq!(enb.current_itbs(late), Itbs::new(9));
         let report = enb.take_report(Time::from_millis(20));
+        assert_eq!(report.flow(first).unwrap().itbs, Itbs::new(4));
+        assert_eq!(report.flow(late).unwrap().itbs, Itbs::new(9));
         let stats = report.flow(late).unwrap();
         let bytes_per_rb = enb.link_adaptation().bits_per_rb(Itbs::new(9)) / 8.0;
         assert_eq!(stats.bytes.as_u64() as f64, stats.rbs as f64 * bytes_per_rb);
@@ -903,6 +931,148 @@ mod tests {
         assert!(
             d_after > d_before,
             "data flow RBs should grow after lease expiry: {d_before} -> {d_after}"
+        );
+    }
+
+    /// A one-video cell on a static channel whose trace records lease
+    /// lifecycle events.
+    fn leased_cell() -> (ENodeB, FlowId, TraceHandle) {
+        let mut enb = cell(Box::new(TwoPhaseGbr::default()));
+        let trace = TraceHandle::new(flare_trace::TraceConfig::info());
+        enb.set_trace(trace.clone());
+        let f = enb.add_flow(FlowClass::Video, Box::new(StaticChannel::new(Itbs::new(5))));
+        (enb, f, trace)
+    }
+
+    /// The times (ms) of every recorded `lease_expired` event.
+    fn expiry_times(trace: &TraceHandle) -> Vec<u64> {
+        trace
+            .events()
+            .iter()
+            .filter(|e| e.name == "lease_expired")
+            .map(|e| e.time_ms)
+            .collect()
+    }
+
+    #[test]
+    fn lease_expiring_in_a_quiescent_span_expires_on_its_own_tti() {
+        let (mut enb, f, trace) = leased_cell();
+        enb.set_gbr_lease(f, Rate::from_kbps(500.0), Time::from_millis(1_000));
+        run_ttis(&mut enb, 0, 1_000);
+        assert!(enb.quiescent, "the idle leased cell must go quiescent");
+        assert_eq!(enb.qos(f).gbr, Some(Rate::from_kbps(500.0)));
+        assert!(expiry_times(&trace).is_empty());
+        enb.step_tti(Time::from_millis(1_000));
+        assert_eq!(enb.qos(f).gbr, None);
+        assert_eq!(enb.lease_expiry(f), None);
+        assert_eq!(enb.expired_lease_count(), 1);
+        assert_eq!(expiry_times(&trace), vec![1_000]);
+    }
+
+    #[test]
+    fn renewed_lease_expires_on_its_new_tti_after_a_quiescent_span() {
+        let (mut enb, f, trace) = leased_cell();
+        enb.set_gbr_lease(f, Rate::from_kbps(500.0), Time::from_millis(1_000));
+        run_ttis(&mut enb, 0, 600);
+        assert!(enb.quiescent);
+        enb.set_gbr_lease(f, Rate::from_kbps(790.0), Time::from_millis(1_500));
+        // The old deadline passes harmlessly; the cell idles on to the new.
+        run_ttis(&mut enb, 600, 900);
+        assert!(enb.quiescent);
+        assert_eq!(enb.qos(f).gbr, Some(Rate::from_kbps(790.0)));
+        assert_eq!(enb.expired_lease_count(), 0);
+        enb.step_tti(Time::from_millis(1_500));
+        assert_eq!(enb.qos(f).gbr, None);
+        assert_eq!(enb.expired_lease_count(), 1);
+        assert_eq!(expiry_times(&trace), vec![1_500]);
+    }
+
+    #[test]
+    fn cancelled_lease_never_expires_after_a_quiescent_span() {
+        let (mut enb, kept, trace) = leased_cell();
+        let cleared = enb.add_flow(FlowClass::Video, Box::new(StaticChannel::new(Itbs::new(5))));
+        for f in [kept, cleared] {
+            enb.set_gbr_lease(f, Rate::from_kbps(500.0), Time::from_millis(1_000));
+        }
+        run_ttis(&mut enb, 0, 600);
+        assert!(enb.quiescent);
+        enb.set_gbr(kept, Some(Rate::from_kbps(500.0)));
+        enb.set_gbr(cleared, None);
+        run_ttis(&mut enb, 600, 1_400);
+        assert!(enb.quiescent);
+        assert_eq!(enb.qos(kept).gbr, Some(Rate::from_kbps(500.0)));
+        assert_eq!(enb.qos(cleared).gbr, None);
+        assert_eq!(enb.expired_lease_count(), 0);
+        assert!(expiry_times(&trace).is_empty());
+    }
+
+    #[test]
+    fn quiescent_span_on_a_moving_channel_reports_and_serves_the_current_itbs() {
+        let wave = || {
+            TriangleWave::new(
+                Itbs::new(1),
+                Itbs::new(12),
+                TimeDelta::from_secs(240),
+                TimeDelta::ZERO,
+            )
+        };
+        let mut enb = cell(Box::new(ProportionalFair::default()));
+        let f = enb.add_flow(FlowClass::Video, Box::new(wave()));
+        run_ttis(&mut enb, 0, 60_000);
+        assert!(
+            enb.quiescent,
+            "an idle cell goes quiescent on a moving channel"
+        );
+        let mut oracle = wave();
+        let last = oracle.itbs_at(Time::from_millis(59_999));
+        assert_ne!(
+            last,
+            Itbs::new(1),
+            "the channel must have moved since t = 0"
+        );
+        let report = enb.take_report(Time::from_secs(60));
+        assert_eq!(report.flow(f).unwrap().itbs, last);
+        // The next TTI crosses an index step: new backlog is served at the
+        // index of its own TTI, not at the one last reported.
+        let now = Time::from_millis(60_000);
+        let current = oracle.itbs_at(now);
+        assert_ne!(current, last);
+        enb.push_backlog(f, ByteCount::new(1_000_000));
+        let served: ByteCount = enb.step_tti(now).iter().map(|d| d.bytes).sum();
+        let bits_per_rb = enb.link_adaptation().bits_per_rb(current);
+        assert_eq!(served.as_u64(), (bits_per_rb * 50.0 / 8.0) as u64);
+    }
+
+    #[test]
+    fn report_before_a_flows_first_tti_reports_itbs_zero() {
+        let mut enb = cell(Box::new(ProportionalFair::default()));
+        let first = enb.add_flow(
+            FlowClass::Video,
+            Box::new(TriangleWave::new(
+                Itbs::new(1),
+                Itbs::new(12),
+                TimeDelta::from_secs(2),
+                TimeDelta::ZERO,
+            )),
+        );
+        let report = enb.take_report(Time::ZERO);
+        assert_eq!(report.flow(first).unwrap().itbs, Itbs::new(0));
+        // A flow attached after a quiescent span has not been polled yet;
+        // the flows that were there report their last TTI's index.
+        run_ttis(&mut enb, 0, 500);
+        assert!(enb.quiescent);
+        let late = enb.add_flow(FlowClass::Video, Box::new(StaticChannel::new(Itbs::new(9))));
+        let report = enb.take_report(Time::from_millis(500));
+        assert_eq!(report.flow(late).unwrap().itbs, Itbs::new(0));
+        let mut oracle = TriangleWave::new(
+            Itbs::new(1),
+            Itbs::new(12),
+            TimeDelta::from_secs(2),
+            TimeDelta::ZERO,
+        );
+        assert_eq!(
+            report.flow(first).unwrap().itbs,
+            oracle.itbs_at(Time::from_millis(499))
         );
     }
 

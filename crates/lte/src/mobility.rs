@@ -302,6 +302,10 @@ impl ChannelModel for MobilityChannel {
         }
         self.current
     }
+
+    fn valid_until(&self, _t: Time) -> Time {
+        self.next_update
+    }
 }
 
 /// Pre-generates a `(time, iTbs)` trace from the mobility pipeline, suitable

@@ -45,6 +45,9 @@ impl Time {
     /// The simulation epoch (t = 0).
     pub const ZERO: Time = Time(0);
 
+    /// The end of simulated time: a deadline that never falls due.
+    pub const MAX: Time = Time(u64::MAX);
+
     /// Creates a time from whole milliseconds.
     pub const fn from_millis(ms: u64) -> Self {
         Time(ms)

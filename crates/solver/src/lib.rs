@@ -62,7 +62,13 @@ pub struct DiscreteSolution {
     pub levels: Vec<usize>,
     /// The corresponding bitrates in bits/second.
     pub rates: Vec<f64>,
-    /// The fraction of RBs handed to video flows.
+    /// The fraction of the cell's RBs the chosen levels need for video
+    /// (their RB cost over [`ProblemSpec::total_rbs`]). At most the RB cap
+    /// on a feasible instance. On an overloaded one the levels are the
+    /// floors and `r` is what the floors alone need, which exceeds the cap
+    /// and can exceed 1: 1.5 means the floors would take one and a half
+    /// cells' worth of RBs, so the MAC cannot deliver them all. `r` is
+    /// kept unclamped so it still says how far the cell is overloaded.
     pub r: f64,
     /// The achieved objective value of (3).
     pub objective: f64,

@@ -23,7 +23,10 @@ use crate::spec::ProblemSpec;
 pub struct ContinuousSolution {
     /// Optimal (continuous) bitrate per flow, in spec order.
     pub rates: Vec<f64>,
-    /// The implied video RB fraction `r`.
+    /// The implied video RB fraction `r`: the rates' RB cost over the
+    /// cell's RBs. As for [`crate::DiscreteSolution::r`], an overloaded
+    /// instance reports the floors' own fraction, above the cap and
+    /// possibly above 1, unclamped.
     pub r: f64,
     /// The objective (3) at this point (`-inf` when the instance is
     /// overloaded).

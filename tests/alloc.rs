@@ -14,7 +14,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use flare_core::FlareConfig;
+use flare_core::{FaultModel, FlareConfig, RobustnessConfig};
 use flare_lte::channel::{StaticChannel, TriangleWave};
 use flare_lte::mobility::MobilityConfig;
 use flare_lte::scheduler::{
@@ -140,8 +140,9 @@ fn main() {
     // Setup and BAI boundaries (solves, assignment installs, control
     // messages) may allocate; per-TTI stepping may not. `CellSim::run` and
     // the benchmark's traced run drive exactly this path. The gates cover
-    // the video-only cell, the loaded fig. 10 mix, and requests delayed in
-    // transport.
+    // the video-only cell, the loaded fig. 10 mix, requests delayed in
+    // transport, and the mobile FLARE-R cell under message loss, whose
+    // leases and moving channels take the deadline-driven idle path.
     let stepper_cell = |n_data: usize, jitter_ms: u64| {
         let mut config = cell_config(
             SchemeKind::Flare(FlareConfig::default()),
@@ -159,6 +160,20 @@ fn main() {
     stepper_gate(
         "8 video + 8 data, 50 ms request jitter",
         stepper_cell(8, 50),
+    );
+    stepper_gate(
+        "8 mobile video, FLARE-R, 20% control loss",
+        SimConfig::builder()
+            .seed(1)
+            .duration(TimeDelta::from_secs(40))
+            .videos(8)
+            .data_flows(0)
+            .channel(ChannelKind::Mobile(MobilityConfig::default()))
+            .scheme(SchemeKind::Flare(
+                FlareConfig::default().with_robustness(RobustnessConfig::default()),
+            ))
+            .faults(FaultModel::perfect().with_drop_prob(0.2))
+            .build(),
     );
 }
 

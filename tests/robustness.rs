@@ -496,6 +496,9 @@ fn overloaded_cell_runs_end_to_end_at_the_floors() {
         .check_invariants(true)
         .build();
     let lowest = config.ladder.rate(config.ladder.lowest()).as_kbps();
+    let trace = TraceHandle::new(TraceConfig::info());
+    let mut config = config;
+    config.trace = trace.clone();
     let result = CellSim::new(config).run();
     assert_eq!(result.videos.len(), 24);
     for v in &result.videos {
@@ -511,4 +514,16 @@ fn overloaded_cell_runs_end_to_end_at_the_floors() {
     let bais = result.solve_times.len() as u64;
     assert_eq!(bais, 6, "one solve per 10 s BAI of the 60 s run");
     assert_eq!(result.telemetry.counter("solver.overloaded"), bais);
+    // `r` stays the floors' own RB share: 24 floors need 1.5 cells.
+    let solves: Vec<_> = trace
+        .events()
+        .into_iter()
+        .filter(|e| e.category == Category::Solver && e.name == "solve")
+        .collect();
+    assert_eq!(solves.len() as u64, bais);
+    for e in &solves {
+        assert_eq!(e.bool_field("overloaded"), Some(true), "{e:?}");
+        let r = e.f64_field("r").expect("solve events carry r");
+        assert!((r - 1.5).abs() < 1e-9, "overloaded r {r} != 1.5");
+    }
 }
