@@ -2,12 +2,12 @@
 
 use flare_sim::TimeDelta;
 
-/// Tracks buffered media and playback stalls.
+/// Tracks buffered media.
 ///
 /// Media is appended in whole segments and drained in real time while
-/// playing. The buffer also accounts the paper's "average time that the
-/// buffer is underflowed" metric: total wall-clock time playback was stalled
-/// after it first started.
+/// playing. The paper's "average time that the buffer is underflowed"
+/// metric is the player's ([`crate::PlayerStats::underflow_time`]), which
+/// also counts the stalled ticks spent waiting to resume.
 ///
 /// # Example
 ///
@@ -24,7 +24,6 @@ use flare_sim::TimeDelta;
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PlaybackBuffer {
     level: TimeDelta,
-    underflow_total: TimeDelta,
 }
 
 impl PlaybackBuffer {
@@ -38,25 +37,17 @@ impl PlaybackBuffer {
         self.level
     }
 
-    /// Total time the buffer was empty while playback wanted to proceed.
-    pub fn underflow_total(&self) -> TimeDelta {
-        self.underflow_total
-    }
-
     /// Appends `media` (one downloaded segment).
     pub fn push(&mut self, media: TimeDelta) {
         self.level += media;
     }
 
     /// Plays back `wall` time of media, returning how much of that time was
-    /// spent starved (buffer empty). Starved time is added to the underflow
-    /// total.
+    /// spent starved (buffer empty).
     pub fn drain(&mut self, wall: TimeDelta) -> TimeDelta {
         let played = self.level.min(wall);
         self.level -= played;
-        let starved = wall - played;
-        self.underflow_total += starved;
-        starved
+        wall - played
     }
 
     /// Whether the buffer is completely empty.
@@ -86,11 +77,9 @@ mod tests {
         b.push(TimeDelta::from_secs(2));
         let starved = b.drain(TimeDelta::from_secs(5));
         assert_eq!(starved, TimeDelta::from_secs(3));
-        assert_eq!(b.underflow_total(), TimeDelta::from_secs(3));
         assert!(b.is_empty());
-        // Subsequent drains while empty keep accumulating.
-        b.drain(TimeDelta::from_secs(1));
-        assert_eq!(b.underflow_total(), TimeDelta::from_secs(4));
+        // A drain while empty is starved throughout.
+        assert_eq!(b.drain(TimeDelta::from_secs(1)), TimeDelta::from_secs(1));
     }
 
     #[test]
@@ -98,7 +87,6 @@ mod tests {
         let b = PlaybackBuffer::new();
         assert!(b.is_empty());
         assert_eq!(b.level(), TimeDelta::ZERO);
-        assert_eq!(b.underflow_total(), TimeDelta::ZERO);
     }
 
     proptest! {
@@ -110,10 +98,14 @@ mod tests {
             let mut b = PlaybackBuffer::new();
             let mut pushed = 0;
             let mut drained_wall = 0;
+            let mut starved = 0;
             for p in &pushes { b.push(TimeDelta::from_secs(*p)); pushed += p; }
-            for d in &drains { b.drain(TimeDelta::from_secs(*d)); drained_wall += d; }
+            for d in &drains {
+                starved += b.drain(TimeDelta::from_secs(*d)).as_millis() / 1000;
+                drained_wall += d;
+            }
             // level = pushed - (wall - starved); everything in whole seconds.
-            let played = drained_wall - b.underflow_total().as_millis() / 1000;
+            let played = drained_wall - starved;
             prop_assert_eq!(b.level().as_millis() / 1000, pushed - played);
         }
     }

@@ -9,6 +9,10 @@ use crate::buffer::PlaybackBuffer;
 use crate::ladder::Level;
 use crate::mpd::Mpd;
 
+/// The resolution of [`Time`]: a deadline lands on the first step after the
+/// buffer crosses a level.
+const ONE_MS: TimeDelta = TimeDelta::from_millis(1);
+
 /// Player timing configuration.
 ///
 /// The reference player behaviours in the paper map onto these knobs: the
@@ -109,7 +113,21 @@ struct Download {
 ///
 /// Drive it with [`Player::step`] once per simulation tick; forward any
 /// returned [`SegmentRequest`] to the network; report radio deliveries back
-/// with [`Player::on_delivered`].
+/// with [`Player::on_delivered`]. Steps must be contiguous and start at
+/// time zero: each step's `now - dt` is the previous step's `now`.
+///
+/// Between segment completions the buffer is a linear function of time, so
+/// after each full step the player computes a wake deadline: the first step
+/// time at which it can do anything other than drain a non-empty buffer
+/// (the buffer runs out, or falls below `request_threshold` with no download
+/// in flight). While stalled or before playback starts only a delivery can
+/// change its state, and the deadline is [`Time::MAX`]; a segment
+/// completion makes the next step a full one. Steps before the deadline
+/// only record their time. The skipped playback (drained media, or
+/// underflow time while stalled) is caught up exactly before any full step
+/// or completion, and the getters add it on the fly, so every getter,
+/// record and trace event equals that of a player stepped in full each
+/// tick.
 pub struct Player {
     mpd: Mpd,
     config: PlayerConfig,
@@ -125,6 +143,14 @@ pub struct Player {
     records: Vec<SegmentRecord>,
     trace: TraceHandle,
     ue: u64,
+    /// `now` of the latest step.
+    clock: Time,
+    /// Time up to which `buffer` and `underflow_time` are accounted. The
+    /// steps in `(synced, clock]` were skipped: each only drained the
+    /// buffer, or added to the underflow time while stalled.
+    synced: Time,
+    /// Steps before this time are skipped.
+    wake_at: Time,
 }
 
 impl std::fmt::Debug for Player {
@@ -132,7 +158,7 @@ impl std::fmt::Debug for Player {
         f.debug_struct("Player")
             .field("adapter", &self.adapter.name())
             .field("next_segment", &self.next_segment)
-            .field("buffer", &self.buffer.level())
+            .field("buffer", &self.buffer_level())
             .field("stalled", &self.stalled)
             .finish()
     }
@@ -156,6 +182,9 @@ impl Player {
             records: Vec::new(),
             trace: TraceHandle::disabled(),
             ue: 0,
+            clock: Time::ZERO,
+            synced: Time::ZERO,
+            wake_at: Time::ZERO,
         }
     }
 
@@ -179,7 +208,13 @@ impl Player {
 
     /// Seconds of media currently buffered.
     pub fn buffer_level(&self) -> TimeDelta {
-        self.buffer.level()
+        if self.started && !self.stalled {
+            // Saturating: an idle player (all media played) skips steps
+            // with an empty buffer.
+            self.buffer.level().saturating_sub(self.lag())
+        } else {
+            self.buffer.level()
+        }
     }
 
     /// Whether a download is currently in flight.
@@ -219,12 +254,79 @@ impl Player {
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if `dt` exceeds `now` (time under-run).
+    /// Panics in debug builds if `dt` exceeds `now` (time under-run), or if
+    /// the step does not start where the previous one ended.
+    #[inline]
     pub fn step(&mut self, now: Time, dt: TimeDelta) -> Option<SegmentRequest> {
         debug_assert!(
             now.as_millis() >= dt.as_millis(),
             "dt larger than elapsed time"
         );
+        debug_assert_eq!(now - dt, self.clock, "steps must be contiguous");
+        if now < self.wake_at {
+            self.clock = now;
+            return None;
+        }
+        self.step_full(now, dt)
+    }
+
+    fn step_full(&mut self, now: Time, dt: TimeDelta) -> Option<SegmentRequest> {
+        self.catch_up();
+        self.advance_playback(now, dt);
+        let request = self.maybe_request(now);
+        self.clock = now;
+        self.synced = now;
+        self.wake_at = self.next_wake(now);
+        request
+    }
+
+    /// Playback skipped since `synced`.
+    fn lag(&self) -> TimeDelta {
+        self.clock.since(self.synced)
+    }
+
+    /// Applies the playback of the skipped steps.
+    fn catch_up(&mut self) {
+        let lag = self.lag();
+        self.synced = self.clock;
+        if self.stalled {
+            self.underflow_time += lag;
+        } else if self.started {
+            // The deadline keeps the buffer from running out while steps
+            // are skipped, except for an idle player's empty buffer.
+            self.buffer.drain(lag);
+        }
+    }
+
+    /// The first step time at which the player, as it stands after a full
+    /// step at `now`, can do anything other than drain a non-empty buffer.
+    fn next_wake(&self, now: Time) -> Time {
+        let level = self.buffer.level();
+        if self.stalled {
+            // A stall that began this step checks the resume threshold on
+            // the next one.
+            return if level >= self.config.resume_threshold {
+                now
+            } else {
+                Time::MAX
+            };
+        }
+        if !self.started || (self.buffer.is_empty() && self.finished()) {
+            return Time::MAX;
+        }
+        // The step after the buffer runs out stalls or goes idle.
+        let empty = now + level + ONE_MS;
+        if self.download.is_some() || self.next_segment >= self.mpd.segment_count() {
+            return empty;
+        }
+        // No request this step, so `level >= request_threshold`.
+        empty.min(now + (level - self.config.request_threshold) + ONE_MS)
+    }
+
+    /// The per-tick step the deadline replaced: the oracle the deadline
+    /// player is tested against.
+    #[cfg(test)]
+    fn step_every_tick(&mut self, now: Time, dt: TimeDelta) -> Option<SegmentRequest> {
         self.advance_playback(now, dt);
         self.maybe_request(now)
     }
@@ -330,6 +432,8 @@ impl Player {
             return None;
         }
         let dl = self.download.take().expect("download in flight");
+        self.catch_up();
+        self.wake_at = Time::ZERO;
         self.buffer.push(self.mpd.segment_duration());
         self.next_segment = dl.segment_index + 1;
         let record = SegmentRecord {
@@ -382,7 +486,11 @@ impl Player {
         PlayerStats {
             average_rate,
             bitrate_changes,
-            underflow_time: self.underflow_time,
+            underflow_time: if self.stalled {
+                self.underflow_time + self.lag()
+            } else {
+                self.underflow_time
+            },
             rebuffer_events: self.rebuffer_events,
             segments,
             playback_started_at: self.playback_started_at,
@@ -609,6 +717,81 @@ mod tests {
                     for r in p.records() {
                         prop_assert!(r.completed_at > r.requested_at);
                     }
+                    Ok(())
+                },
+            )
+            .unwrap();
+    }
+
+    /// The deadline player against the per-tick oracle, on random
+    /// thresholds (startup above request included), segment counts,
+    /// delivery chunks, stalling gaps and stray deliveries.
+    #[test]
+    fn deadline_player_matches_the_per_tick_oracle() {
+        use proptest::prelude::*;
+        use proptest::test_runner::TestRunner;
+
+        /// Picks a level from the buffer, so a request issued with a wrong
+        /// buffer level shows in the records.
+        struct ByBuffer;
+        impl RateAdapter for ByBuffer {
+            fn next_level(&mut self, ctx: &AdaptContext) -> Level {
+                Level::new((ctx.buffer_level.as_millis() / 700) as usize)
+            }
+            fn name(&self) -> &'static str {
+                "by-buffer"
+            }
+        }
+
+        // Startup, resume and request thresholds in 150 ms steps, so each
+        // is often zero.
+        let thresholds = (0u64..20, 0u64..20, 0u64..27);
+        // Phases of (gap?, bytes per TTI, TTIs); half of them are gaps.
+        let phases = proptest::collection::vec((0u8..2, 1u64..6000, 1u64..4000), 1..12);
+        let mut runner = TestRunner::default();
+        runner
+            .run(
+                &(thresholds, 1u64..20, 200u64..2000, phases, 0u64..3000),
+                |((startup, resume, request), segments, segment_ms, phases, tail)| {
+                    let config = PlayerConfig {
+                        startup_threshold: TimeDelta::from_millis(150 * startup),
+                        resume_threshold: TimeDelta::from_millis(150 * resume),
+                        request_threshold: TimeDelta::from_millis(150 * request),
+                    };
+                    let mpd = Mpd::new(
+                        "oracle".to_owned(),
+                        BitrateLadder::simulation(),
+                        TimeDelta::from_millis(segment_ms),
+                        TimeDelta::from_millis(segment_ms * segments),
+                    );
+                    let mut lazy = Player::new(mpd.clone(), config.clone(), Box::new(ByBuffer));
+                    let mut oracle = Player::new(mpd, config, Box::new(ByBuffer));
+                    let mut now = Time::ZERO;
+                    let schedule = phases
+                        .iter()
+                        .flat_map(|&(gap, bytes, ttis)| {
+                            std::iter::repeat_n(if gap == 0 { 0 } else { bytes }, ttis as usize)
+                        })
+                        .chain(std::iter::repeat_n(0, tail as usize));
+                    for chunk in schedule {
+                        now += TTI;
+                        prop_assert_eq!(lazy.step(now, TTI), oracle.step_every_tick(now, TTI));
+                        if chunk > 0 {
+                            // Sent whether or not a download is in flight.
+                            let bytes = ByteCount::new(chunk);
+                            prop_assert_eq!(
+                                lazy.on_delivered(now, bytes),
+                                oracle.on_delivered(now, bytes)
+                            );
+                        }
+                        prop_assert_eq!(lazy.buffer_level(), oracle.buffer_level(), "at {:?}", now);
+                        prop_assert_eq!(lazy.stalled(), oracle.stalled(), "at {:?}", now);
+                        prop_assert_eq!(lazy.rebuffer_events(), oracle.rebuffer_events());
+                        prop_assert_eq!(lazy.finished(), oracle.finished());
+                        prop_assert_eq!(lazy.downloading(), oracle.downloading());
+                    }
+                    prop_assert_eq!(lazy.records(), oracle.records());
+                    prop_assert_eq!(lazy.stats(), oracle.stats());
                     Ok(())
                 },
             )

@@ -18,7 +18,7 @@ use flare_core::{
 };
 use flare_harness::Observation;
 use flare_has::{Level, RateAdapter};
-use flare_lte::FlowId;
+use flare_lte::{FlowId, Itbs, LinkAdaptation};
 use flare_sim::units::Rate;
 use flare_sim::{Time, TimeDelta};
 use flare_trace::{Category, TraceHandle};
@@ -65,6 +65,59 @@ pub(super) fn robustness_of(scheme: &SchemeKind) -> Option<RobustnessConfig> {
         SchemeKind::Flare(fc) => fc.robustness,
         _ => None,
     }
+}
+
+/// Eq. (4a) recomputed from the statistics a solve used, for the invariant
+/// battery: weight `w_u = BAI / (8 b_u / n_u)` (the link-adaptation table's
+/// bits/RB at the reported iTbs for a flow given no RBs), rate `R_u` of the
+/// assigned level, budget `N = rbs_per_tti * BAI` TTIs (see
+/// `OneApiServer::assign`). The floors' share under the same weights bounds
+/// an overloaded BAI. `None` for an empty interval or no assignments.
+fn rate_budget(
+    config: &SimConfig,
+    server: &OneApiServer,
+    report: &StatsReportMsg,
+    la: &LinkAdaptation,
+    rbs_per_tti: u32,
+    assigned: impl IntoIterator<Item = (FlowId, Level)>,
+) -> Option<Observation> {
+    let bai_ms = report.duration_ms();
+    let bai_secs = bai_ms as f64 / 1000.0;
+    let total_rbs = f64::from(rbs_per_tti) * bai_ms as f64;
+    let mut any = false;
+    let mut used = 0.0;
+    let mut floor_used = 0.0;
+    for (flow, level) in assigned {
+        any = true;
+        let Some(stats) = report.flow(flow.index() as u32) else {
+            continue;
+        };
+        let bits_per_rb = if stats.rbs > 0 {
+            stats.bytes as f64 / stats.rbs as f64 * 8.0
+        } else {
+            la.bits_per_rb(Itbs::new(stats.itbs))
+        }
+        .max(1.0);
+        let weight = bai_secs / bits_per_rb;
+        let floor = server
+            .min_allowed_level(flow)
+            .map(|l| config.ladder.rate(l))
+            .expect("assignment for an unregistered client");
+        used += weight * config.ladder.rate(level).as_bps();
+        floor_used += weight * floor.as_bps();
+    }
+    if !any || total_rbs <= 0.0 {
+        return None;
+    }
+    // The PCRF registers legacy players as data flows, so they count
+    // towards the r_cap < 1 headroom rule.
+    let has_data = config.n_data + config.legacy_video > 0;
+    Some(Observation::RateBudget {
+        used_fraction: used / total_rbs,
+        r_cap: if has_data { 0.999 } else { 1.0 },
+        floor_fraction: floor_used / total_rbs,
+        tolerance: 1e-6,
+    })
 }
 
 /// Builds the rate adapter one video player runs under `scheme`.
@@ -294,15 +347,17 @@ impl CellSim {
                     } else {
                         Vec::new()
                     };
+                    let solved_on = latest_report.take();
                     let msgs = if robustness.is_some() {
-                        server.bai_tick(now, latest_report.take().as_ref(), &la, rbs)
+                        server.bai_tick(now, solved_on.as_ref(), &la, rbs)
                     } else {
-                        match latest_report.take() {
-                            Some(r) => server.assign_msg(&r, &la, rbs),
+                        match &solved_on {
+                            Some(r) => server.assign_msg(r, &la, rbs),
                             None => Vec::new(),
                         }
                     };
                     if let Some(inv) = self.invariants.as_mut() {
+                        let mut assigned = Vec::with_capacity(msgs.len());
                         for m in &msgs {
                             let Some(idx) = self
                                 .video_flows
@@ -320,6 +375,22 @@ impl CellSim {
                                     max_level,
                                 },
                             );
+                            assigned.push((self.video_flows[idx], Level::new(m.level as usize)));
+                        }
+                        // Eq. (4a) is recomputable when the server weighted
+                        // every client by the counters of one report: the
+                        // report it solved on covers all of them. Otherwise
+                        // (no report, or a client missing from it) it solved
+                        // on aged observations or skipped clients.
+                        if let Some(r) = solved_on.as_ref().filter(|r| {
+                            assigned.len() == server.client_count()
+                                && msgs.iter().all(|m| r.flow(m.flow_id).is_some())
+                        }) {
+                            if let Some(o) =
+                                rate_budget(&self.config, server, r, &la, rbs, assigned)
+                            {
+                                inv.observe(now, &o);
+                            }
                         }
                     }
                     if !msgs.is_empty() {
@@ -365,18 +436,8 @@ impl CellSim {
                     }
                 }
                 if let Some(inv) = self.invariants.as_mut() {
-                    // Recompute Eq. (4a) from the very statistics the server
-                    // solved against: weight w_u = BAI / (8 b_u / n_u), rate
-                    // R_u from the assignment, budget N = rbs_per_tti * BAI
-                    // TTIs (see `OneApiServer::assign`). The floors' share
-                    // under the same weights bounds an overloaded BAI.
-                    let bai_secs = report.duration().as_secs_f64();
-                    let total_rbs = f64::from(rbs) * report.duration().as_millis() as f64;
-                    let mut used = 0.0;
-                    let mut floor_used = 0.0;
                     for a in &assignments {
-                        let idx = self.video_flows.iter().position(|&f| f == a.flow);
-                        if let Some(idx) = idx {
+                        if let Some(idx) = self.video_flows.iter().position(|&f| f == a.flow) {
                             inv.observe(
                                 now,
                                 &Observation::Assignment {
@@ -387,34 +448,18 @@ impl CellSim {
                                 },
                             );
                         }
-                        if let Some(stats) = report.flow(a.flow) {
-                            let bits_per_rb = stats
-                                .bytes_per_rb()
-                                .map(|b| b * 8.0)
-                                .unwrap_or_else(|| la.bits_per_rb(stats.itbs))
-                                .max(1.0);
-                            let weight = bai_secs / bits_per_rb;
-                            let floor = server
-                                .min_allowed_level(a.flow)
-                                .map(|l| self.config.ladder.rate(l))
-                                .expect("assignment for an unregistered client");
-                            used += weight * a.rate.as_bps();
-                            floor_used += weight * floor.as_bps();
-                        }
                     }
-                    if !assignments.is_empty() && total_rbs > 0.0 {
-                        // The PCRF registers legacy players as data flows, so
-                        // they count towards the r_cap < 1 headroom rule.
-                        let has_data = self.config.n_data + self.config.legacy_video > 0;
-                        inv.observe(
-                            now,
-                            &Observation::RateBudget {
-                                used_fraction: used / total_rbs,
-                                r_cap: if has_data { 0.999 } else { 1.0 },
-                                floor_fraction: floor_used / total_rbs,
-                                tolerance: 1e-6,
-                            },
-                        );
+                    // Recompute Eq. (4a) from the very statistics the server
+                    // solved against.
+                    if let Some(o) = rate_budget(
+                        &self.config,
+                        server,
+                        &StatsReportMsg::from(&report),
+                        &la,
+                        rbs,
+                        assignments.iter().map(|a| (a.flow, a.level)),
+                    ) {
+                        inv.observe(now, &o);
                     }
                 }
             }
