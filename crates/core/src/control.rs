@@ -323,7 +323,7 @@ impl ControlPlane {
         due.into_iter().map(|m| m.msg).collect()
     }
 
-    /// Messages still in flight on both links (for tests).
+    /// Messages still in flight on both links.
     pub fn in_flight(&self) -> usize {
         self.uplink.len() + self.downlink.len()
     }

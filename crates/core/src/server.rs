@@ -489,7 +489,7 @@ mod tests {
     use flare_has::BitrateLadder;
     use flare_lte::channel::StaticChannel;
     use flare_lte::scheduler::TwoPhaseGbr;
-    use flare_lte::{CellConfig, ENodeB, Itbs};
+    use flare_lte::{CellConfig, ENodeB, FlowIntervalStats, Itbs};
     use flare_sim::Time;
 
     /// A cell with `n_video` great-channel video flows and `n_data` data
@@ -677,6 +677,79 @@ mod tests {
         // The report covers flow 0 only; the registered client is flow 2.
         assert!(server.assign(&report, enb.link_adaptation(), 50).is_empty());
     }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        #[test]
+        fn rescaling_ladder_theta_and_bytes_changes_no_level(
+            n_video in 1usize..=6,
+            n_data in 0usize..=4,
+            delta in 0u32..=4,
+            counters in proptest::collection::vec((1u64..=100_000, 1u64..=44), 6 * BAIS),
+        ) {
+            // Metamorphic, end to end through Algorithm 1: the server sees
+            // rates only through θ/R and the RB cost n_u·R/b_u. Scaling the
+            // ladder, θ and every report's bytes by the same power of two
+            // keeps both exact, so no applied level may move in any BAI,
+            // δ filter included. Every flow reports RBs, so the link-
+            // adaptation fallback (which does not scale) is never used.
+            let (_, videos, datas) = cell(n_video, n_data, 10);
+            let run = |k: f64| {
+                let ladder = BitrateLadder::new(
+                    BitrateLadder::simulation().rates().iter().map(|&r| r * k).collect(),
+                );
+                let base = FlareConfig::default().with_delta(delta);
+                let mut server = OneApiServer::new(FlareConfig { theta: base.theta * k, ..base });
+                for &v in &videos {
+                    server.register_video(ClientInfo::new(v, ladder.clone()));
+                }
+                for &d in &datas {
+                    server.register_data(d);
+                }
+                (0..BAIS)
+                    .map(|bai| {
+                        let start = bai as u64 * 10_000;
+                        let flows = videos
+                            .iter()
+                            .enumerate()
+                            .map(|(i, &flow)| {
+                                let (rbs, bytes_per_rb) = counters[bai * 6 + i];
+                                // Multiples of 4 bytes stay whole at k = 0.5.
+                                let bytes = (4 * rbs * bytes_per_rb) as f64 * k;
+                                FlowIntervalStats {
+                                    flow,
+                                    class: FlowClass::Video,
+                                    rbs,
+                                    bytes: flare_sim::units::ByteCount::new(bytes as u64),
+                                    itbs: Itbs::new(10),
+                                }
+                            })
+                            .collect();
+                        let report = IntervalReport {
+                            start: Time::from_millis(start),
+                            end: Time::from_millis(start + 10_000),
+                            flows,
+                        };
+                        server.assign(&report, &LinkAdaptation::default(), 50)
+                    })
+                    .collect::<Vec<_>>()
+            };
+            let want = run(1.0);
+            for k in [0.5, 2.0, 4.0] {
+                for (bai, (got, want)) in run(k).iter().zip(&want).enumerate() {
+                    let levels = |v: &[Assignment]| v.iter().map(|a| a.level).collect::<Vec<_>>();
+                    proptest::prop_assert_eq!(levels(got), levels(want), "k = {}, BAI {}", k, bai);
+                    for (g, w) in got.iter().zip(want) {
+                        proptest::prop_assert_eq!(g.rate, w.rate * k);
+                    }
+                }
+            }
+        }
+    }
+
+    /// BAIs per case of the rescaling property: enough for the δ filter to
+    /// admit increases.
+    const BAIS: usize = 8;
 
     use crate::messages::StatsReportMsg;
     use crate::RobustnessConfig;

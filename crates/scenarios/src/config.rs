@@ -154,13 +154,12 @@ pub struct SimConfig {
     /// start), which is the noise source that destabilizes throughput-
     /// estimating clients on real testbeds — see EXPERIMENTS.md.
     pub request_jitter: TimeDelta,
-    /// Control-plane fault model for coordinated (FLARE) schemes: when set,
-    /// statistics reports and assignments travel through a fault-injectable
-    /// [`flare_core::ControlPlane`] instead of being exchanged losslessly.
-    /// `None` keeps the paper's lossless in-process exchange (and the
-    /// bit-exact legacy code path). Ignored by client-side schemes, which
-    /// have no control plane.
-    pub faults: Option<FaultModel>,
+    /// Control-plane fault model for coordinated (FLARE-family) schemes,
+    /// whose statistics reports and assignments always travel through a
+    /// [`flare_core::ControlPlane`]. Defaults to [`FaultModel::perfect`],
+    /// the paper's lossless, instantaneous exchange. Ignored by the other
+    /// schemes, which have no control plane.
+    pub faults: FaultModel,
     /// Trace recorder shared by every instrumented component of the run.
     /// Defaults to a detached handle, in which case the simulation attaches
     /// an internal registry-only recorder (counters and histograms, no
@@ -211,7 +210,7 @@ impl Default for SimConfigBuilder {
                 prefs: Vec::new(),
                 legacy_video: 0,
                 request_jitter: TimeDelta::ZERO,
-                faults: None,
+                faults: FaultModel::perfect(),
                 trace: TraceHandle::disabled(),
                 check_invariants: default_check_invariants(),
             },
@@ -308,10 +307,9 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Routes the coordination loop through a fault-injectable control
-    /// plane with the given fault model.
+    /// Sets the fault model of the FLARE control plane (default: perfect).
     pub fn faults(mut self, faults: FaultModel) -> Self {
-        self.config.faults = Some(faults);
+        self.config.faults = faults;
         self
     }
 
@@ -399,11 +397,11 @@ mod tests {
 
     #[test]
     fn faults_knob_defaults_off() {
-        assert!(SimConfig::builder().build().faults.is_none());
+        assert!(SimConfig::builder().build().faults.is_perfect());
         let c = SimConfig::builder()
             .faults(FaultModel::perfect().with_drop_prob(0.2))
             .build();
-        assert_eq!(c.faults.unwrap().drop_prob, 0.2);
+        assert_eq!(c.faults.drop_prob, 0.2);
     }
 
     #[test]

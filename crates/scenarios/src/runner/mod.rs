@@ -25,7 +25,7 @@ use flare_sim::{Time, TimeDelta, TTI};
 use flare_trace::{Category, RegistrySnapshot, TraceHandle};
 use rand::Rng;
 
-use crate::config::{ChannelKind, SchedulerKind, SchemeKind, SimConfig};
+use crate::config::{ChannelKind, SchedulerKind, SimConfig};
 use schemes::{Controller, MsgCells};
 
 /// Per-video-flow outcome of a run.
@@ -109,7 +109,7 @@ pub struct RunResult {
     pub data: Vec<DataFlowResult>,
     /// Wall-clock solver times, one per BAI (network-side schemes only).
     pub solve_times: Vec<Duration>,
-    /// Control-plane telemetry (message-path FLARE runs only).
+    /// Control-plane telemetry (FLARE-family runs only).
     pub robustness: Option<RobustnessReport>,
     /// End-of-run counters, gauges, and timing histograms from the trace
     /// registry. Always populated: runs without an attached recorder use an
@@ -269,25 +269,10 @@ impl CellSim {
         // that a FLARE deployment services as plain data traffic.
         let coordinated = config.n_video - config.legacy_video;
 
-        // FLARE runs take the message path (explicit control plane) as soon
-        // as either faults or robustness are configured. With neither, the
-        // legacy in-process path keeps the paper's lossless semantics
-        // bit-for-bit.
-        let robustness = schemes::robustness_of(&config.scheme);
-        let msg_path = matches!(config.scheme, SchemeKind::Flare(_))
-            && (config.faults.is_some() || robustness.is_some());
-
-        let mut cells = Vec::new();
-        let mut versioned_cells = Vec::new();
+        let mut cells = MsgCells::for_scheme(&config.scheme);
         let mut players: Vec<Player> = (0..config.n_video)
             .map(|i| {
-                let adapter = schemes::player_adapter(
-                    &config.scheme,
-                    i >= coordinated,
-                    robustness,
-                    &mut cells,
-                    &mut versioned_cells,
-                );
+                let adapter = schemes::player_adapter(&config.scheme, i >= coordinated, &mut cells);
                 Player::new(mpd(i), config.player.clone(), adapter)
             })
             .collect();
@@ -298,10 +283,7 @@ impl CellSim {
             &video_flows,
             &data_flows,
             coordinated,
-            msg_path,
-            robustness,
             cells,
-            versioned_cells,
         );
 
         let jitter_rngs = (0..config.n_video as u64)
@@ -461,7 +443,7 @@ impl CellSim {
     /// BAI, after all deliveries due in it.
     fn end_bai_clients(&mut self, now: Time) {
         if let Controller::FlareMsg {
-            cells: MsgCells::Versioned(cs),
+            cells: MsgCells::Versioned(cs, _),
             ..
         } = &self.controller
         {
@@ -756,6 +738,7 @@ impl CellStepper {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SchemeKind;
     use flare_core::FlareConfig;
     use flare_lte::mobility::MobilityConfig;
     use flare_trace::TraceConfig;
@@ -945,35 +928,52 @@ mod tests {
     }
 
     #[test]
-    fn perfect_message_path_matches_legacy_flare_bit_for_bit() {
-        // Routing the coordination loop through a zero-fault control plane
-        // must not change a single decision: the acceptance bar for the
-        // message-path refactor.
-        let legacy = CellSim::new(base(SchemeKind::Flare(FlareConfig::default()))).run();
-        let cfg = SimConfig::builder()
-            .seed(3)
-            .duration(TimeDelta::from_secs(120))
-            .bai(TimeDelta::from_secs(10))
-            .videos(2)
-            .data_flows(1)
-            .channel(ChannelKind::Static { itbs: 10 })
-            .scheme(SchemeKind::Flare(FlareConfig::default()))
-            .faults(flare_core::FaultModel::perfect())
-            .build();
-        let msg = CellSim::new(cfg).run();
-        assert_eq!(msg.scheme, "FLARE");
-        for (a, b) in legacy.videos.iter().zip(&msg.videos) {
-            assert_eq!(a.rate_series.points(), b.rate_series.points());
-            assert_eq!(a.throughput_series.points(), b.throughput_series.points());
-            assert_eq!(a.stats.bitrate_changes, b.stats.bitrate_changes);
-        }
+    fn fault_free_flare_runs_over_a_lossless_control_plane() {
+        // With no faults set, FLARE still carries every report and
+        // assignment over the control plane, and the plane loses nothing.
+        let trace = TraceHandle::new(TraceConfig::debug());
+        let mut cfg = base(SchemeKind::Flare(FlareConfig::default()));
+        cfg.trace = trace.clone();
+        let result = CellSim::new(cfg).run();
+        let r = result.robustness.expect("FLARE reports control telemetry");
         assert_eq!(
-            legacy.data[0].throughput_series.points(),
-            msg.data[0].throughput_series.points()
+            (r.dropped, r.lost_to_outage, r.reordered, r.fallback_bais),
+            (0, 0, 0, 0)
         );
-        let r = msg.robustness.expect("message path reports telemetry");
-        assert_eq!(r.dropped, 0);
-        assert_eq!(r.fallback_bais, 0);
+        let sent = |link: &str| {
+            trace
+                .events()
+                .iter()
+                .filter(|e| {
+                    e.category == Category::Control
+                        && e.name == "sent"
+                        && e.str_field("link") == Some(link)
+                })
+                .count() as u64
+        };
+        let (reports, assignments) = (sent("up"), sent("down"));
+        // One report per 10 s BAI of the 120 s run, one assignment per
+        // video client per BAI.
+        assert_eq!((reports, assignments), (12, 24));
+        assert_eq!(r.delivered, reports + assignments);
+    }
+
+    #[test]
+    fn gbr_only_flare_obeys_the_fault_model() {
+        let run = |faults| {
+            let mut cfg = base(SchemeKind::FlareGbrOnly(FlareConfig::default()));
+            cfg.faults = faults;
+            CellSim::new(cfg)
+                .run()
+                .robustness
+                .expect("GBR-only runs report telemetry")
+        };
+        let lossless = run(flare_core::FaultModel::perfect());
+        assert_eq!(lossless.dropped, 0);
+        assert!(lossless.delivered > 0);
+        let lossy = run(flare_core::FaultModel::perfect().with_drop_prob(1.0));
+        assert!(lossy.dropped > 0);
+        assert_eq!(lossy.delivered, 0, "nothing can get through");
     }
 
     #[test]

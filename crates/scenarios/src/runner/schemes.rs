@@ -2,10 +2,12 @@
 //! and the BAI/control-plane handlers for each adaptation scheme.
 //!
 //! Moved out of the main runner so [`CellSim`](super::CellSim)'s TTI loop
-//! stays readable from harness call sites; the types and control flow are
-//! unchanged. The only additions are the `flare-harness` invariant
-//! observations (guarded by `SimConfig::check_invariants`) at the solve and
-//! install checkpoints.
+//! stays readable from harness call sites. Every FLARE-family run carries
+//! its coordination loop (statistics reports up, assignments down, once per
+//! BAI) over one [`ControlPlane`], which is lossless and instantaneous
+//! unless `SimConfig::faults` injects faults. The `flare-harness` invariant
+//! observations (guarded by `SimConfig::check_invariants`) sit at the solve
+//! and install checkpoints.
 
 use std::time::Duration;
 
@@ -13,7 +15,7 @@ use flare_abr::avis::AvisAllocator;
 use flare_abr::{BufferBased, Festive, Google, RateBased, SharedAssignment, VersionedAssignment};
 use flare_core::messages::StatsReportMsg;
 use flare_core::{
-    ClientInfo, ControlPlane, FaultModel, FlarePlugin, OneApiServer, ResilientPlugin,
+    ClientInfo, ControlPlane, FlareConfig, FlarePlugin, OneApiServer, ResilientPlugin,
     RobustnessConfig,
 };
 use flare_harness::Observation;
@@ -26,13 +28,44 @@ use flare_trace::{Category, TraceHandle};
 use super::CellSim;
 use crate::config::{SchemeKind, SimConfig};
 
-/// Client-side assignment cells of a message-path FLARE run.
+/// Client-side assignment cells of a FLARE run.
 pub(super) enum MsgCells {
     /// Naive: last-write-wins cells, persistent GBRs — the paper's FLARE
-    /// run unchanged over a (possibly faulty) control plane.
+    /// over a (possibly faulty) control plane. FLARE-GBR-ONLY has no cells:
+    /// its players adapt on their own under the installed GBRs.
     Naive(Vec<SharedAssignment>),
-    /// Resilient: versioned cells with staleness fallback, GBR leases.
-    Versioned(Vec<VersionedAssignment>),
+    /// Resilient (FLARE-R): versioned cells with staleness fallback, GBR
+    /// leases, and the server's degrading `bai_tick`.
+    Versioned(Vec<VersionedAssignment>, RobustnessConfig),
+}
+
+impl MsgCells {
+    /// No cells yet, of the kind `scheme`'s plugins use.
+    pub(super) fn for_scheme(scheme: &SchemeKind) -> Self {
+        match scheme {
+            SchemeKind::Flare(FlareConfig {
+                robustness: Some(r),
+                ..
+            }) => MsgCells::Versioned(Vec::new(), *r),
+            _ => MsgCells::Naive(Vec::new()),
+        }
+    }
+
+    /// A FLARE plugin reading a new cell, which the controller writes.
+    fn plugin(&mut self) -> Box<dyn RateAdapter> {
+        match self {
+            MsgCells::Naive(cs) => {
+                let cell = SharedAssignment::new();
+                cs.push(cell.clone());
+                Box::new(FlarePlugin::new(cell))
+            }
+            MsgCells::Versioned(cs, r) => {
+                let cell = VersionedAssignment::new(r.stale_bais, r.rejoin_bais);
+                cs.push(cell.clone());
+                Box::new(ResilientPlugin::new(cell))
+            }
+        }
+    }
 }
 
 // One live instance per simulation; the size spread between variants is
@@ -40,13 +73,8 @@ pub(super) enum MsgCells {
 #[allow(clippy::large_enum_variant)]
 pub(super) enum Controller {
     None,
-    Flare {
-        server: OneApiServer,
-        cells: Vec<SharedAssignment>,
-        gbr_only: bool,
-    },
-    /// FLARE with its coordination loop carried over an explicit (fault-
-    /// injectable) control plane instead of lossless in-process calls.
+    /// FLARE with its coordination loop carried over an explicit control
+    /// plane, perfect unless `SimConfig::faults` injects faults.
     FlareMsg {
         server: OneApiServer,
         control: ControlPlane,
@@ -54,17 +82,8 @@ pub(super) enum Controller {
         /// Freshest statistics report delivered to the server so far and
         /// not yet consumed by a solve.
         latest_report: Option<StatsReportMsg>,
-        robustness: Option<RobustnessConfig>,
     },
     Avis(AvisAllocator),
-}
-
-/// The robustness configuration a scheme carries, if any.
-pub(super) fn robustness_of(scheme: &SchemeKind) -> Option<RobustnessConfig> {
-    match scheme {
-        SchemeKind::Flare(fc) => fc.robustness,
-        _ => None,
-    }
 }
 
 /// Eq. (4a) recomputed from the statistics a solve used, for the invariant
@@ -124,14 +143,11 @@ fn rate_budget(
 ///
 /// `legacy` players always get a conventional FESTIVE adapter (a FLARE
 /// deployment services them as plain data traffic). FLARE plugins register
-/// their shared assignment cell into `cells`/`versioned_cells` so the
-/// controller can write to them.
+/// their assignment cell into `cells` so the controller can write to it.
 pub(super) fn player_adapter(
     scheme: &SchemeKind,
     legacy: bool,
-    robustness: Option<RobustnessConfig>,
-    cells: &mut Vec<SharedAssignment>,
-    versioned_cells: &mut Vec<VersionedAssignment>,
+    cells: &mut MsgCells,
 ) -> Box<dyn RateAdapter> {
     if legacy {
         return Box::new(Festive::default());
@@ -140,38 +156,23 @@ pub(super) fn player_adapter(
         SchemeKind::Festive => Box::new(Festive::default()),
         SchemeKind::Google => Box::new(Google::default()),
         SchemeKind::BufferBased => Box::new(BufferBased::default()),
-        SchemeKind::Flare(_) => {
-            if let Some(r) = robustness {
-                let cell = VersionedAssignment::new(r.stale_bais, r.rejoin_bais);
-                versioned_cells.push(cell.clone());
-                Box::new(ResilientPlugin::new(cell)) as Box<dyn RateAdapter>
-            } else {
-                let cell = SharedAssignment::new();
-                cells.push(cell.clone());
-                Box::new(FlarePlugin::new(cell)) as Box<dyn RateAdapter>
-            }
-        }
+        SchemeKind::Flare(_) => cells.plugin(),
         SchemeKind::FlareGbrOnly(_) | SchemeKind::Avis(_) => Box::new(RateBased::default()),
     }
 }
 
 /// Builds the network-side controller for `config`'s scheme.
-#[allow(clippy::too_many_arguments)]
 pub(super) fn build_controller(
     config: &SimConfig,
     trace: &TraceHandle,
     video_flows: &[FlowId],
     data_flows: &[FlowId],
     coordinated: usize,
-    msg_path: bool,
-    robustness: Option<RobustnessConfig>,
-    mut cells: Vec<SharedAssignment>,
-    versioned_cells: Vec<VersionedAssignment>,
+    cells: MsgCells,
 ) -> Controller {
     match &config.scheme {
         SchemeKind::Festive | SchemeKind::Google | SchemeKind::BufferBased => Controller::None,
         SchemeKind::Flare(fc) | SchemeKind::FlareGbrOnly(fc) => {
-            let gbr_only = matches!(config.scheme, SchemeKind::FlareGbrOnly(_));
             let mut server = OneApiServer::new(fc.clone().with_bai(config.bai));
             server.set_trace(trace.clone());
             for (i, &flow) in video_flows.iter().enumerate().take(coordinated) {
@@ -189,59 +190,48 @@ pub(super) fn build_controller(
             for &flow in data_flows {
                 server.register_data(flow);
             }
-            if msg_path {
-                let faults = config.faults.clone().unwrap_or_else(FaultModel::perfect);
-                Controller::FlareMsg {
-                    server,
-                    control: ControlPlane::new(faults, config.seed).with_trace(trace.clone()),
-                    cells: if robustness.is_some() {
-                        MsgCells::Versioned(versioned_cells)
-                    } else {
-                        MsgCells::Naive(cells)
-                    },
-                    latest_report: None,
-                    robustness,
-                }
-            } else {
-                if gbr_only {
-                    cells.clear();
-                }
-                Controller::Flare {
-                    server,
-                    cells,
-                    gbr_only,
-                }
+            Controller::FlareMsg {
+                server,
+                control: ControlPlane::new(config.faults.clone(), config.seed)
+                    .with_trace(trace.clone()),
+                cells,
+                latest_report: None,
             }
         }
         SchemeKind::Avis(ac) => Controller::Avis(AvisAllocator::new(ac.clone())),
     }
 }
 
+/// Moves every statistics report due by `now` into `latest`, keeping only
+/// the freshest interval: a reordered old report must not overwrite newer
+/// counters.
+fn take_fresh_reports(control: &mut ControlPlane, now: Time, latest: &mut Option<StatsReportMsg>) {
+    for r in control.recv_reports(now) {
+        if latest.as_ref().is_none_or(|cur| r.end_ms >= cur.end_ms) {
+            *latest = Some(r);
+        }
+    }
+}
+
 impl CellSim {
     /// Delivers every control-plane message due by `now`: reports reach the
     /// server's inbox, assignments reach the plugins' cells and the eNodeB's
-    /// PCEF. No-op for controllers without a message path.
+    /// PCEF. No-op for controllers without a control plane.
     pub(super) fn poll_control(&mut self, now: Time) {
         let Controller::FlareMsg {
             control,
             cells,
             latest_report,
-            robustness,
             ..
         } = &mut self.controller
         else {
             return;
         };
-        for r in control.recv_reports(now) {
-            // Keep only the freshest interval: a reordered old report must
-            // not overwrite newer counters.
-            if latest_report
-                .as_ref()
-                .is_none_or(|cur| r.end_ms >= cur.end_ms)
-            {
-                *latest_report = Some(r);
-            }
+        // Called every TTI; almost every TTI has nothing in flight.
+        if control.in_flight() == 0 {
+            return;
         }
+        take_fresh_reports(control, now, latest_report);
         for a in control.recv_assignments(now) {
             let Some(idx) = self
                 .video_flows
@@ -255,9 +245,11 @@ impl CellSim {
             let level = Level::new(a.level as usize);
             match cells {
                 MsgCells::Naive(cs) => {
-                    // Last write wins, GBRs persist — exactly the lossless-
-                    // world behaviour, now exposed to faults.
-                    cs[idx].set(level);
+                    // Last write wins, GBRs persist: the paper's lossless-
+                    // world behaviour, exposed to whatever faults are set.
+                    if let Some(cell) = cs.get(idx) {
+                        cell.set(level);
+                    }
                     self.enb.set_gbr(flow, Some(rate));
                     self.trace
                         .record_debug(now, Category::Plugin, "apply", |e| {
@@ -266,7 +258,7 @@ impl CellSim {
                                 .u64("gbr_kbps", u64::from(a.gbr_kbps));
                         });
                 }
-                MsgCells::Versioned(cs) => {
+                MsgCells::Versioned(cs, r) => {
                     // Client and PCEF share the versioned view: a stale
                     // assignment neither moves the plugin nor touches QoS.
                     let prev_seq = cs[idx].seq();
@@ -283,9 +275,8 @@ impl CellSim {
                         );
                     }
                     if accepted {
-                        let lease_bais = robustness.unwrap_or_default().lease_bais;
                         let lease = TimeDelta::from_millis(
-                            self.config.bai.as_millis() * u64::from(lease_bais),
+                            self.config.bai.as_millis() * u64::from(r.lease_bais),
                         );
                         self.enb.set_gbr_lease(flow, rate, now + lease);
                         self.trace.incr("plugin.installs", 1);
@@ -311,28 +302,20 @@ impl CellSim {
         let report = self.enb.take_report(now);
         let check = self.invariants.is_some();
         let max_level = self.config.ladder.len().saturating_sub(1);
+        let rbs = self.enb.config().rbs_per_tti;
+        let la = self.enb.link_adaptation();
         match &mut self.controller {
             Controller::None => {}
             Controller::FlareMsg {
                 server,
                 control,
+                cells,
                 latest_report,
-                robustness,
-                ..
             } => {
-                let rbs = self.enb.config().rbs_per_tti;
-                let la = self.enb.link_adaptation().clone();
                 // eNodeB -> server: this BAI's statistics, via the (possibly
                 // faulty) control plane.
                 control.send_report(now, StatsReportMsg::from(&report));
-                for r in control.recv_reports(now) {
-                    if latest_report
-                        .as_ref()
-                        .is_none_or(|cur| r.end_ms >= cur.end_ms)
-                    {
-                        *latest_report = Some(r);
-                    }
-                }
+                take_fresh_reports(control, now, latest_report);
                 // Server side: during an outage window the server is down
                 // and issues nothing; clients notice via staleness.
                 if !control.in_outage(now) {
@@ -348,11 +331,11 @@ impl CellSim {
                         Vec::new()
                     };
                     let solved_on = latest_report.take();
-                    let msgs = if robustness.is_some() {
-                        server.bai_tick(now, solved_on.as_ref(), &la, rbs)
+                    let msgs = if let MsgCells::Versioned(..) = cells {
+                        server.bai_tick(now, solved_on.as_ref(), la, rbs)
                     } else {
                         match &solved_on {
-                            Some(r) => server.assign_msg(r, &la, rbs),
+                            Some(r) => server.assign_msg(r, la, rbs),
                             None => Vec::new(),
                         }
                     };
@@ -386,8 +369,7 @@ impl CellSim {
                             assigned.len() == server.client_count()
                                 && msgs.iter().all(|m| r.flow(m.flow_id).is_some())
                         }) {
-                            if let Some(o) =
-                                rate_budget(&self.config, server, r, &la, rbs, assigned)
+                            if let Some(o) = rate_budget(&self.config, server, r, la, rbs, assigned)
                             {
                                 inv.observe(now, &o);
                             }
@@ -403,70 +385,8 @@ impl CellSim {
                 // Deliveries due right now are applied by the caller's
                 // poll_control immediately after this returns.
             }
-            Controller::Flare {
-                server,
-                cells,
-                gbr_only,
-            } => {
-                let rbs = self.enb.config().rbs_per_tti;
-                // The link adaptation table is cloned to satisfy borrowing;
-                // it is a tiny value object.
-                let la = self.enb.link_adaptation().clone();
-                let prev_levels: Vec<Option<Level>> = if check {
-                    self.video_flows
-                        .iter()
-                        .map(|&f| server.current_level(f))
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                let assignments = server.assign(&report, &la, rbs);
-                if let Some(t) = server.last_solve_time() {
-                    solve_times.push(t);
-                }
-                for a in &assignments {
-                    self.enb.set_gbr(a.flow, Some(a.rate));
-                    if !*gbr_only {
-                        let video_idx = self
-                            .video_flows
-                            .iter()
-                            .position(|&f| f == a.flow)
-                            .expect("assignment for unknown flow");
-                        cells[video_idx].set(a.level);
-                    }
-                }
-                if let Some(inv) = self.invariants.as_mut() {
-                    for a in &assignments {
-                        if let Some(idx) = self.video_flows.iter().position(|&f| f == a.flow) {
-                            inv.observe(
-                                now,
-                                &Observation::Assignment {
-                                    flow: a.flow.index() as u64,
-                                    prev_level: prev_levels[idx].map(Level::index),
-                                    new_level: a.level.index(),
-                                    max_level,
-                                },
-                            );
-                        }
-                    }
-                    // Recompute Eq. (4a) from the very statistics the server
-                    // solved against.
-                    if let Some(o) = rate_budget(
-                        &self.config,
-                        server,
-                        &StatsReportMsg::from(&report),
-                        &la,
-                        rbs,
-                        assignments.iter().map(|a| (a.flow, a.level)),
-                    ) {
-                        inv.observe(now, &o);
-                    }
-                }
-            }
             Controller::Avis(alloc) => {
-                let rbs = self.enb.config().rbs_per_tti;
-                let la = self.enb.link_adaptation().clone();
-                for a in alloc.assign(&report, &la, rbs) {
+                for a in alloc.assign(&report, la, rbs) {
                     self.enb.set_gbr(a.flow, Some(a.gbr));
                     self.enb.set_mbr(a.flow, Some(a.mbr));
                 }

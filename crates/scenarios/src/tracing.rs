@@ -103,11 +103,9 @@ fn representative_config(experiment: &str, p: &ExperimentParams) -> Option<SimCo
                 8,
                 0,
             );
-            cfg.faults = Some(
-                FaultModel::perfect()
-                    .with_drop_prob(0.3)
-                    .with_jitter(flare_sim::TimeDelta::from_millis(800)),
-            );
+            cfg.faults = FaultModel::perfect()
+                .with_drop_prob(0.3)
+                .with_jitter(flare_sim::TimeDelta::from_millis(800));
             cfg
         }
         _ => return None,
