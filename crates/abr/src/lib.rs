@@ -13,8 +13,6 @@
 //!   cell allocator that carves a static video partition and pushes per-flow
 //!   GBR/MBR caps into the MAC, *without* telling the client — the
 //!   mis-coordination FLARE is designed to eliminate.
-//! * [`BufferBased`] — a BBA-0-style buffer-level controller, an extra
-//!   baseline beyond the paper's set (useful in ablations).
 //! * [`SharedAssignment`] — the cell through which coordinated schemes
 //!   (FLARE, and AVIS's MBR echo for analysis) hand a network-chosen level
 //!   to a client-side adapter.
@@ -26,14 +24,12 @@
 #![warn(missing_docs)]
 
 pub mod avis;
-mod buffer_based;
 mod festive;
 mod google;
 mod rate_based;
 mod shared;
 mod versioned;
 
-pub use buffer_based::{BufferBased, BufferBasedConfig};
 pub use festive::{Festive, FestiveConfig};
 pub use google::{Google, GoogleConfig};
 pub use rate_based::RateBased;

@@ -13,6 +13,7 @@
 
 use std::collections::BTreeMap;
 
+use flare_bench::{parse_inspect, InspectCommand, INSPECT_USAGE};
 use flare_scenarios::experiments::ExperimentParams;
 use flare_scenarios::tracing::representative_trace;
 use flare_sim::TimeDelta;
@@ -67,36 +68,27 @@ fn digest(events: &[TraceEvent]) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-
-    // Replay mode: digest a recorded trace file.
-    if let Some(pos) = args.iter().position(|a| a == "--trace") {
-        let path = args.get(pos + 1).expect("--trace needs a file");
-        let text = std::fs::read_to_string(path).expect("read trace file");
-        let events = match flare_trace::parse_jsonl(&text) {
-            Ok(events) => events,
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        println!("trace: {path}");
-        digest(&events);
-        return;
-    }
+    let (mobile, secs, emit) = match parse_inspect(&args) {
+        Ok(InspectCommand::Replay(path)) => {
+            let events = std::fs::read_to_string(&path)
+                .map_err(|e| e.to_string())
+                .and_then(|text| flare_trace::parse_jsonl(&text).map_err(|e| e.to_string()))
+                .unwrap_or_else(|e| {
+                    eprintln!("{path}: {e}");
+                    std::process::exit(1);
+                });
+            println!("trace: {path}");
+            digest(&events);
+            return;
+        }
+        Ok(InspectCommand::Live { mobile, secs, emit }) => (mobile, secs, emit),
+        Err(e) => {
+            eprintln!("inspect: {e}\n{INSPECT_USAGE}");
+            std::process::exit(2);
+        }
+    };
 
     // Live mode: one representative traced cell run.
-    let mobile = args.first().map(String::as_str) == Some("mobile");
-    let secs: u64 = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(300);
-    let emit = args
-        .iter()
-        .position(|a| a == "--emit")
-        .map(|i| args.get(i + 1).expect("--emit needs a file").clone());
-
     let mut params = ExperimentParams::quick();
     params.duration = TimeDelta::from_secs(secs);
     params.testbed_duration = TimeDelta::from_secs(secs);

@@ -7,7 +7,7 @@
 //!
 //! The repository benchmark is the separate `perfbench/` package.
 //!
-//! This library only hosts `repro`'s command-line parsing.
+//! This library only hosts the binaries' command-line parsing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -101,6 +101,71 @@ pub fn parse_cli(args: &[String]) -> CliOptions {
     }
 }
 
+/// What one `inspect` command line asks for.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum InspectCommand {
+    /// `--trace FILE`: digest a recorded JSONL trace.
+    Replay(String),
+    /// Run one representative traced cell live and digest its trace.
+    Live {
+        /// Fig. 7's mobile cell rather than fig. 6's static one.
+        mobile: bool,
+        /// Simulated seconds.
+        secs: u64,
+        /// `--emit FILE`: also write the live trace to this file.
+        emit: Option<String>,
+    },
+}
+
+/// `inspect`'s usage text.
+pub const INSPECT_USAGE: &str = "usage: inspect [static|mobile] [secs] [--emit FILE]\n       \
+                                 inspect --trace FILE";
+
+/// Parses the `inspect` command line.
+///
+/// `--trace FILE` selects replay. Otherwise `--emit FILE` may appear
+/// anywhere, and the positional arguments are an optional scenario
+/// (`static`, the default, or `mobile`) followed by an optional duration in
+/// whole seconds (default 300); a lone number is the duration. Unknown
+/// options, scenarios and bad durations are errors.
+pub fn parse_inspect(args: &[String]) -> Result<InspectCommand, String> {
+    let mut emit = None;
+    let mut positional = Vec::new();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--trace" => {
+                let path = it.next().ok_or("--trace needs a file")?;
+                return Ok(InspectCommand::Replay(path.clone()));
+            }
+            "--emit" => emit = Some(it.next().ok_or("--emit needs a file")?.clone()),
+            flag if flag.starts_with("--") => return Err(format!("unknown option: {flag}")),
+            other => positional.push(other),
+        }
+    }
+    let (scenario, secs) = match positional[..] {
+        [] => (None, None),
+        [one] if one.starts_with(|c: char| c.is_ascii_digit()) => (None, Some(one)),
+        [scenario] => (Some(scenario), None),
+        [scenario, secs] => (Some(scenario), Some(secs)),
+        [_, _, extra, ..] => return Err(format!("unexpected argument: {extra}")),
+    };
+    let mobile = match scenario {
+        None | Some("static") => false,
+        Some("mobile") => true,
+        Some(other) => return Err(format!("unknown scenario: {other}")),
+    };
+    let secs = match secs {
+        None => 300,
+        Some(s) => s
+            .parse()
+            .ok()
+            .filter(|&n| n > 0)
+            .ok_or_else(|| format!("bad duration: {s} (whole seconds > 0)"))?,
+    };
+    Ok(InspectCommand::Live { mobile, secs, emit })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,5 +242,54 @@ mod tests {
     #[should_panic(expected = "--trace needs a directory")]
     fn trace_without_dir_panics() {
         let _ = parse_cli(&args(&["fig6", "--trace"]));
+    }
+
+    fn live(mobile: bool, secs: u64, emit: Option<&str>) -> InspectCommand {
+        InspectCommand::Live {
+            mobile,
+            secs,
+            emit: emit.map(str::to_owned),
+        }
+    }
+
+    #[test]
+    fn inspect_reads_scenario_then_duration_around_emit() {
+        let want = live(true, 30, Some("out.jsonl"));
+        for order in [
+            ["--emit", "out.jsonl", "mobile", "30"],
+            ["mobile", "--emit", "out.jsonl", "30"],
+            ["mobile", "30", "--emit", "out.jsonl"],
+        ] {
+            assert_eq!(parse_inspect(&args(&order)), Ok(want.clone()), "{order:?}");
+        }
+        assert_eq!(parse_inspect(&args(&["30"])), Ok(live(false, 30, None)));
+        assert_eq!(
+            parse_inspect(&args(&["static", "45"])),
+            Ok(live(false, 45, None))
+        );
+        assert_eq!(parse_inspect(&args(&["mobile"])), Ok(live(true, 300, None)));
+        assert_eq!(parse_inspect(&args(&[])), Ok(live(false, 300, None)));
+        assert_eq!(
+            parse_inspect(&args(&["--trace", "t.jsonl"])),
+            Ok(InspectCommand::Replay("t.jsonl".to_owned()))
+        );
+    }
+
+    #[test]
+    fn inspect_rejects_bad_arguments() {
+        for (bad, why) in [
+            (&["highway"][..], "unknown scenario: highway"),
+            (&["highway", "30"], "unknown scenario: highway"),
+            (&["mobile", "soon"], "bad duration: soon"),
+            (&["30s"], "bad duration: 30s"),
+            (&["0"], "bad duration: 0"),
+            (&["static", "30", "9"], "unexpected argument: 9"),
+            (&["--emit"], "--emit needs a file"),
+            (&["--trace"], "--trace needs a file"),
+            (&["--secs", "30"], "unknown option: --secs"),
+        ] {
+            let err = parse_inspect(&args(bad)).expect_err(why);
+            assert!(err.starts_with(why), "{bad:?}: {err}");
+        }
     }
 }

@@ -451,7 +451,7 @@ impl OneApiServer {
         }
 
         // Stability filter, then report the applied levels.
-        let assign_debug = self.trace.debug_enabled(Category::Solver);
+        let assign_debug = self.trace.debug_enabled();
         let mut deferrals: u64 = 0;
         let mut out = Vec::with_capacity(solver_index.len());
         for (&ci, &recommended) in solver_index.iter().zip(&solution.levels) {

@@ -201,11 +201,6 @@ impl Player {
         &self.mpd
     }
 
-    /// The adaptation algorithm's name.
-    pub fn adapter_name(&self) -> &'static str {
-        self.adapter.name()
-    }
-
     /// Seconds of media currently buffered.
     pub fn buffer_level(&self) -> TimeDelta {
         if self.started && !self.stalled {

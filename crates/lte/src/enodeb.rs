@@ -204,11 +204,6 @@ impl ENodeB {
         id
     }
 
-    /// Number of attached flows.
-    pub fn flow_count(&self) -> usize {
-        self.flows.len()
-    }
-
     /// The cell configuration.
     pub fn config(&self) -> &CellConfig {
         &self.config
@@ -376,7 +371,7 @@ impl ENodeB {
             self.tti_grants.clear();
             self.last_tti_granted = 0;
             self.tti_delivered.clear();
-            if self.trace.tick(Category::Mac) {
+            if self.trace.tick() {
                 let n_flows = self.tti_states.len() as u64;
                 self.trace.record(now, Category::Mac, "tti", |e| {
                     e.u64("rbs", 0).u64("sched", 0).u64("flows", n_flows);
@@ -465,8 +460,8 @@ impl ENodeB {
         self.last_tti_granted = granted_total;
 
         // 3. Deliver.
-        let mac_sampled = self.trace.tick(Category::Mac);
-        let grant_debug = mac_sampled && self.trace.debug_enabled(Category::Mac);
+        let mac_sampled = self.trace.tick();
+        let grant_debug = mac_sampled && self.trace.debug_enabled();
         self.tti_delivered.clear();
         for gi in 0..self.tti_grants.len() {
             let g = self.tti_grants[gi];

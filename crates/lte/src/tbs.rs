@@ -14,8 +14,8 @@
 
 use std::fmt;
 
-use flare_sim::units::{ByteCount, Rate};
-use flare_sim::{TimeDelta, TTI};
+use flare_sim::units::Rate;
+use flare_sim::TTI;
 
 /// The largest valid iTbs index (3GPP TS 36.213 Rel-8 defines 0..=26).
 pub const ITBS_MAX: u8 = 26;
@@ -129,31 +129,11 @@ impl LinkAdaptation {
         self.scaled_bits[usize::from(itbs.0)]
     }
 
-    /// Deliverable whole bytes for `n_rb` PRBs over one TTI.
-    pub fn bytes_per_tti(&self, itbs: Itbs, n_rb: u32) -> ByteCount {
-        ByteCount::new((self.bits_per_rb(itbs) * f64::from(n_rb) / 8.0).floor() as u64)
-    }
-
     /// The downlink rate sustained if a UE at `itbs` received all `n_rb` RBs
     /// every TTI.
     pub fn cell_capacity(&self, itbs: Itbs, n_rb: u32) -> Rate {
         let bits_per_tti = self.bits_per_rb(itbs) * f64::from(n_rb);
         Rate::from_bps(bits_per_tti / TTI.as_secs_f64())
-    }
-
-    /// The number of RBs per TTI needed to sustain `rate` at `itbs`,
-    /// as a real number (callers round per their scheduling policy).
-    pub fn rbs_for_rate(&self, itbs: Itbs, rate: Rate) -> f64 {
-        let bits_per_tti_needed = rate.as_bps() * TTI.as_secs_f64();
-        bits_per_tti_needed / self.bits_per_rb(itbs)
-    }
-
-    /// The average rate delivered by `n_rb` RBs per `period` at `itbs`.
-    pub fn rate_of_rbs(&self, itbs: Itbs, n_rb: u64, period: TimeDelta) -> Rate {
-        if period.is_zero() {
-            return Rate::ZERO;
-        }
-        Rate::from_bps(self.bits_per_rb(itbs) * n_rb as f64 / period.as_secs_f64())
     }
 }
 
@@ -214,36 +194,6 @@ mod tests {
     }
 
     #[test]
-    fn rbs_for_rate_inverts_rate_of_rbs() {
-        let la = LinkAdaptation::default();
-        let itbs = Itbs::new(10);
-        let rate = Rate::from_kbps(790.0);
-        let rbs_per_tti = la.rbs_for_rate(itbs, rate);
-        // Spend that many RBs per TTI for 1 second => recover the rate.
-        let n_rb = (rbs_per_tti * 1000.0).round() as u64;
-        let back = la.rate_of_rbs(itbs, n_rb, TimeDelta::from_secs(1));
-        assert!((back.as_kbps() - 790.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn bytes_per_tti_floors() {
-        let la = LinkAdaptation::new(1.0);
-        // iTbs 0: 16 bits = 2 bytes per RB.
-        assert_eq!(la.bytes_per_tti(Itbs::new(0), 3), ByteCount::new(6));
-        // iTbs 1: 24 bits = 3 bytes per RB.
-        assert_eq!(la.bytes_per_tti(Itbs::new(1), 1), ByteCount::new(3));
-    }
-
-    #[test]
-    fn rate_of_rbs_zero_period_is_zero() {
-        let la = LinkAdaptation::default();
-        assert_eq!(
-            la.rate_of_rbs(Itbs::new(5), 100, TimeDelta::ZERO),
-            Rate::ZERO
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "spatial multiplexing")]
     fn invalid_spatial_gain_panics() {
         let _ = LinkAdaptation::new(0.0);
@@ -258,15 +208,6 @@ mod tests {
             prop_assert!(hi >= lo);
             let wider = la.cell_capacity(Itbs::new(i), n + 1);
             prop_assert!(wider >= lo);
-        }
-
-        #[test]
-        fn rbs_for_rate_non_negative_and_monotone(i in 0u8..=26, kbps in 0.0f64..100_000.0) {
-            let la = LinkAdaptation::default();
-            let r = la.rbs_for_rate(Itbs::new(i), Rate::from_kbps(kbps));
-            prop_assert!(r >= 0.0);
-            let r2 = la.rbs_for_rate(Itbs::new(i), Rate::from_kbps(kbps + 1.0));
-            prop_assert!(r2 >= r);
         }
     }
 }

@@ -12,20 +12,16 @@
 //! * [`Summary`] — mean / standard deviation / extrema of a sample.
 //! * [`TimeSeries`] — `(time, value)` traces for the Figure 4/5-style
 //!   plots, with averaging and resampling helpers.
-//! * [`qoe_score`] — the linear composite QoE model (Yin et al.) for
-//!   single-number scheme rankings.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cdf;
 mod jain;
-mod qoe;
 mod summary;
 mod timeseries;
 
 pub use cdf::Cdf;
 pub use jain::jain_index;
-pub use qoe::{qoe_score, QoeInputs, QoeWeights};
 pub use summary::Summary;
 pub use timeseries::TimeSeries;

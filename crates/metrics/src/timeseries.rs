@@ -106,12 +106,6 @@ impl TimeSeries {
         }
         out
     }
-
-    /// Counts transitions to a different value — the "number of bitrate
-    /// changes" metric when the series carries per-segment rates.
-    pub fn change_count(&self) -> usize {
-        self.points.windows(2).filter(|w| w[0].1 != w[1].1).count()
-    }
 }
 
 #[cfg(test)]
@@ -153,13 +147,6 @@ mod tests {
             r.points(),
             &[(0.0, 1.0), (10.0, 2.0), (20.0, 2.0), (30.0, 3.0)]
         );
-    }
-
-    #[test]
-    fn change_counting() {
-        let ts = series(&[(0.0, 1.0), (1.0, 1.0), (2.0, 2.0), (3.0, 1.0), (4.0, 1.0)]);
-        assert_eq!(ts.change_count(), 2);
-        assert_eq!(series(&[(0.0, 5.0)]).change_count(), 0);
     }
 
     #[test]

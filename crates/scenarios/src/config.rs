@@ -66,8 +66,6 @@ pub enum SchemeKind {
     Festive,
     /// The reference MPEG-DASH player ("GOOGLE") on every video UE.
     Google,
-    /// A BBA-0-style buffer-based controller (extension baseline).
-    BufferBased,
     /// FLARE: OneAPI server + plugins + GBR enforcement.
     Flare(FlareConfig),
     /// Ablation: the FLARE server assigns GBRs, but clients self-adapt with
@@ -84,7 +82,6 @@ impl SchemeKind {
         match self {
             SchemeKind::Festive => "FESTIVE",
             SchemeKind::Google => "GOOGLE",
-            SchemeKind::BufferBased => "BBA",
             // Robustness configured -> the graceful-degradation variant
             // (versioned assignments, fallback plugin, GBR leases).
             SchemeKind::Flare(fc) if fc.robustness.is_some() => "FLARE-R",

@@ -58,12 +58,6 @@ impl ExperimentParams {
             jobs: 1,
         }
     }
-
-    /// Returns these params with `jobs` worker threads.
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs;
-        self
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1005,6 +999,19 @@ mod tests {
             "static slicing must not help data flows: {} vs {}",
             a.partitioned_data_kbps,
             a.unified_data_kbps
+        );
+    }
+
+    #[test]
+    fn gbr_only_flare_stalls_where_dual_enforcement_does_not() {
+        // EXPERIMENTS.md's dual-enforcement ablation: with the plugin
+        // ignored, clients self-adapt against a GBR they cannot see.
+        let a = ablation_dual_enforcement(ExperimentParams::quick());
+        assert_eq!(a.full_underflow_secs, 0.0, "full FLARE must not stall");
+        assert!(
+            a.gbr_only_underflow_secs > 0.0,
+            "FLARE-GBR-ONLY must stall: {} s per client",
+            a.gbr_only_underflow_secs
         );
     }
 

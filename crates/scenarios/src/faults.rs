@@ -231,20 +231,6 @@ pub fn faults(p: ExperimentParams) -> FaultFigure {
     FaultFigure { points }
 }
 
-/// Convenience: the control-plane counters of a single faulty run, for
-/// tests and notebooks that want raw telemetry rather than the averaged
-/// figure.
-pub fn single_run_telemetry(
-    scheme: SchemeKind,
-    faults_model: &FaultModel,
-    seed: u64,
-    duration: TimeDelta,
-) -> Option<RobustnessReport> {
-    CellSim::new(faulty_config(scheme, faults_model, seed, duration))
-        .run()
-        .robustness
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,12 +289,15 @@ mod tests {
     }
 
     #[test]
-    fn single_run_telemetry_present_only_for_flare() {
+    fn robustness_telemetry_present_only_for_flare() {
         let fm = FaultModel::perfect().with_drop_prob(0.5);
         let d = TimeDelta::from_secs(120);
-        assert!(
-            single_run_telemetry(SchemeKind::Flare(FlareConfig::default()), &fm, 3, d).is_some()
-        );
-        assert!(single_run_telemetry(SchemeKind::Festive, &fm, 3, d).is_none());
+        let telemetry = |scheme| {
+            CellSim::new(faulty_config(scheme, &fm, 3, d))
+                .run()
+                .robustness
+        };
+        assert!(telemetry(SchemeKind::Flare(FlareConfig::default())).is_some());
+        assert!(telemetry(SchemeKind::Festive).is_none());
     }
 }

@@ -18,7 +18,7 @@ use flare_lte::scheduler::{
     TwoPhaseGbr,
 };
 use flare_lte::{ENodeB, FlowClass, FlowId};
-use flare_metrics::{jain_index, QoeInputs, TimeSeries};
+use flare_metrics::{jain_index, TimeSeries};
 use flare_sim::rng::{standard_normal, stream};
 use flare_sim::units::{ByteCount, Rate};
 use flare_sim::{Time, TimeDelta, TTI};
@@ -43,23 +43,6 @@ pub struct VideoFlowResult {
     pub throughput_series: TimeSeries,
     /// Average MAC throughput over the run.
     pub average_throughput: Rate,
-}
-
-impl VideoFlowResult {
-    /// Inputs for the composite QoE model over this client's session.
-    ///
-    /// Returns `None` if the client never completed a segment.
-    pub fn qoe_inputs(&self, session: TimeDelta) -> Option<QoeInputs> {
-        if self.rate_series.is_empty() || session.is_zero() {
-            return None;
-        }
-        let rates: Vec<f64> = self.rate_series.points().iter().map(|(_, r)| *r).collect();
-        Some(QoeInputs::from_session(
-            &rates,
-            self.stats.underflow_time.as_secs_f64(),
-            session.as_secs_f64(),
-        ))
-    }
 }
 
 /// Per-data-flow outcome of a run.
@@ -162,21 +145,6 @@ impl RunResult {
             .map(|v| v.stats.average_rate.as_kbps())
             .collect();
         jain_index(&rates)
-    }
-
-    /// Mean composite QoE score across clients (kbps-denominated; see
-    /// [`flare_metrics::qoe_score`]).
-    pub fn average_qoe(&self, weights: flare_metrics::QoeWeights) -> f64 {
-        let scores: Vec<f64> = self
-            .videos
-            .iter()
-            .filter_map(|v| v.qoe_inputs(self.duration))
-            .map(|i| flare_metrics::qoe_score(i, weights))
-            .collect();
-        if scores.is_empty() {
-            return 0.0;
-        }
-        scores.iter().sum::<f64>() / scores.len() as f64
     }
 
     /// Mean data-flow throughput, in kbps.
@@ -831,19 +799,6 @@ mod tests {
     }
 
     #[test]
-    fn qoe_scoring_is_consistent_with_its_inputs() {
-        let r = CellSim::new(base(SchemeKind::Flare(FlareConfig::default()))).run();
-        let w = flare_metrics::QoeWeights::default();
-        let score = r.average_qoe(w);
-        // FLARE never stalls in this scenario and holds steady rates, so
-        // the score sits below the average nominal rate by exactly the
-        // (small) switching penalty.
-        assert!(score > 0.0 && score <= r.average_video_rate_kbps() + 1e-9);
-        let inputs = r.videos[0].qoe_inputs(r.duration).unwrap();
-        assert_eq!(inputs.rebuffer_ratio, 0.0);
-    }
-
-    #[test]
     fn request_jitter_destabilizes_estimating_clients_but_not_flare() {
         // With per-request transport jitter, FESTIVE's throughput samples
         // get noisy and its selections flap more; FLARE's plugin ignores
@@ -1036,7 +991,6 @@ mod tests {
         for scheme in [
             SchemeKind::Festive,
             SchemeKind::Google,
-            SchemeKind::BufferBased,
             SchemeKind::Flare(FlareConfig::default()),
             SchemeKind::FlareGbrOnly(FlareConfig::default()),
             SchemeKind::Avis(Default::default()),

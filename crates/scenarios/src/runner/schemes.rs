@@ -12,7 +12,7 @@
 use std::time::Duration;
 
 use flare_abr::avis::AvisAllocator;
-use flare_abr::{BufferBased, Festive, Google, RateBased, SharedAssignment, VersionedAssignment};
+use flare_abr::{Festive, Google, RateBased, SharedAssignment, VersionedAssignment};
 use flare_core::messages::StatsReportMsg;
 use flare_core::{
     ClientInfo, ControlPlane, FlareConfig, FlarePlugin, OneApiServer, ResilientPlugin,
@@ -155,7 +155,6 @@ pub(super) fn player_adapter(
     match scheme {
         SchemeKind::Festive => Box::new(Festive::default()),
         SchemeKind::Google => Box::new(Google::default()),
-        SchemeKind::BufferBased => Box::new(BufferBased::default()),
         SchemeKind::Flare(_) => cells.plugin(),
         SchemeKind::FlareGbrOnly(_) | SchemeKind::Avis(_) => Box::new(RateBased::default()),
     }
@@ -171,7 +170,7 @@ pub(super) fn build_controller(
     cells: MsgCells,
 ) -> Controller {
     match &config.scheme {
-        SchemeKind::Festive | SchemeKind::Google | SchemeKind::BufferBased => Controller::None,
+        SchemeKind::Festive | SchemeKind::Google => Controller::None,
         SchemeKind::Flare(fc) | SchemeKind::FlareGbrOnly(fc) => {
             let mut server = OneApiServer::new(fc.clone().with_bai(config.bai));
             server.set_trace(trace.clone());

@@ -17,11 +17,10 @@
 //! use flare_sim::{Time, TimeDelta, TTI};
 //! use rand::Rng;
 //!
-//! // A BAI boundary is a whole number of TTIs after the start.
+//! // A BAI is a whole number of TTIs; BAI boundaries step by it.
 //! let bai = TimeDelta::from_secs(10);
-//! let now = Time::from_millis(23_456);
-//! assert_eq!(now.floor_to(bai), Time::from_secs(20));
 //! assert_eq!(bai / TTI, 10_000);
+//! assert_eq!(Time::from_secs(20) + bai, Time::from_secs(30));
 //!
 //! // Equal (seed, tag, index) triples replay the same random stream.
 //! let a: u64 = stream(7, "channel", 3).gen();

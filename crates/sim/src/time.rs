@@ -83,16 +83,6 @@ impl Time {
     pub fn saturating_since(self, earlier: Time) -> TimeDelta {
         TimeDelta(self.0.saturating_sub(earlier.0))
     }
-
-    /// Rounds `self` down to a multiple of `period`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero.
-    pub fn floor_to(self, period: TimeDelta) -> Time {
-        assert!(period.0 > 0, "period must be non-zero");
-        Time(self.0 / period.0 * period.0)
-    }
 }
 
 impl TimeDelta {
@@ -264,19 +254,6 @@ mod tests {
         let late = Time::from_millis(20);
         assert_eq!(early.saturating_since(late), TimeDelta::ZERO);
         assert_eq!(late.saturating_since(early).as_millis(), 10);
-    }
-
-    #[test]
-    fn floor_to_rounds_down() {
-        let bai = TimeDelta::from_secs(10);
-        assert_eq!(Time::from_millis(25_500).floor_to(bai), Time::from_secs(20));
-        assert_eq!(Time::from_secs(20).floor_to(bai), Time::from_secs(20));
-    }
-
-    #[test]
-    #[should_panic(expected = "period must be non-zero")]
-    fn floor_to_zero_period_panics() {
-        let _ = Time::from_secs(1).floor_to(TimeDelta::ZERO);
     }
 
     #[test]

@@ -4,10 +4,11 @@ use std::fmt;
 
 /// The subsystem a trace event belongs to.
 ///
-/// Categories are the unit of filtering: each one has an independent
-/// [`TraceLevel`](crate::TraceLevel) and sampling stride in the recorder
-/// configuration, so a run can e.g. keep per-TTI MAC events heavily sampled
-/// while recording every solver round.
+/// Every event carries its category in the export, so a trace can be
+/// filtered per subsystem after the fact. Recording uses one
+/// [`TraceLevel`](crate::TraceLevel) for all categories and samples only the
+/// per-TTI MAC summaries, so a run records every solver round while the
+/// MAC does not flood the ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Category {
     /// eNodeB MAC layer: TTI scheduling rounds and per-UE RB/TBS grants.
@@ -28,11 +29,8 @@ pub enum Category {
     Invariant,
 }
 
-/// Number of distinct categories (size of per-category config arrays).
-pub const CATEGORY_COUNT: usize = 7;
-
-/// All categories, in canonical order (matches [`Category::index`]).
-pub const ALL_CATEGORIES: [Category; CATEGORY_COUNT] = [
+/// All categories, in canonical order.
+const ALL_CATEGORIES: [Category; 7] = [
     Category::Mac,
     Category::Solver,
     Category::Control,
@@ -43,19 +41,6 @@ pub const ALL_CATEGORIES: [Category; CATEGORY_COUNT] = [
 ];
 
 impl Category {
-    /// Dense index of this category, in `0..CATEGORY_COUNT`.
-    pub const fn index(self) -> usize {
-        match self {
-            Category::Mac => 0,
-            Category::Solver => 1,
-            Category::Control => 2,
-            Category::Plugin => 3,
-            Category::Player => 4,
-            Category::Enforce => 5,
-            Category::Invariant => 6,
-        }
-    }
-
     /// Short lowercase name used in exports (`"mac"`, `"solver"`, ...).
     pub const fn as_str(self) -> &'static str {
         match self {
@@ -81,13 +66,13 @@ impl fmt::Display for Category {
     }
 }
 
-/// Verbosity threshold for a category.
+/// Verbosity threshold of a recorder.
 ///
-/// `Off < Info < Debug`: a category set to `Info` records info-level events
+/// `Off < Info < Debug`: a recorder set to `Info` records info-level events
 /// and drops debug-level ones; `Off` records nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TraceLevel {
-    /// Record nothing for this category.
+    /// Record no events.
     Off,
     /// Record summary events only (one per BAI / per sampled TTI).
     Info,
@@ -263,7 +248,6 @@ mod tests {
     fn category_roundtrip() {
         for c in ALL_CATEGORIES {
             assert_eq!(Category::parse(c.as_str()), Some(c));
-            assert_eq!(ALL_CATEGORIES[c.index()], c);
         }
         assert_eq!(Category::parse("bogus"), None);
     }

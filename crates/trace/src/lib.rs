@@ -8,7 +8,8 @@
 //! * **Events** ([`TraceEvent`]): sim-time-stamped, typed, ordered records of
 //!   what each subsystem did (TTI grants, BAI solve rounds, control-plane
 //!   message fates, plugin installs/fallbacks, player stalls, GBR leases),
-//!   buffered in a bounded ring with per-[`Category`] levels and sampling.
+//!   tagged with a [`Category`] and buffered in a bounded ring under one
+//!   [`TraceLevel`], with MAC TTI summaries sampled.
 //! * **Registry** ([`RegistrySnapshot`]): counters, gauges, and log2-bucket
 //!   histograms for aggregate, end-of-run telemetry — always cheap enough to
 //!   leave on.
@@ -38,11 +39,9 @@ mod export;
 mod recorder;
 mod registry;
 
-pub use event::{
-    Category, EventBuilder, TraceEvent, TraceLevel, Value, ALL_CATEGORIES, CATEGORY_COUNT,
-};
+pub use event::{Category, EventBuilder, TraceEvent, TraceLevel, Value};
 pub use export::{parse_jsonl, to_csv, to_json_line, to_jsonl, ParseError};
-pub use recorder::{CategoryConfig, TraceConfig, TraceHandle};
+pub use recorder::{TraceConfig, TraceHandle};
 pub use registry::{HistogramSummary, RegistrySnapshot};
 
 #[cfg(test)]

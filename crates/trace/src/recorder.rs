@@ -1,4 +1,5 @@
-//! The trace recorder: bounded event ring + per-category levels/sampling.
+//! The trace recorder: bounded event ring, one verbosity level and a MAC
+//! sampling stride.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -6,92 +7,51 @@ use std::rc::Rc;
 
 use flare_sim::Time;
 
-use crate::event::{Category, EventBuilder, TraceEvent, TraceLevel, CATEGORY_COUNT};
+use crate::event::{Category, EventBuilder, TraceEvent, TraceLevel};
 use crate::registry::{Registry, RegistrySnapshot};
-
-/// Per-category recording configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CategoryConfig {
-    /// Verbosity threshold for this category.
-    pub level: TraceLevel,
-    /// Record only every N-th sampled tick (see [`TraceHandle::tick`]).
-    ///
-    /// Only the MAC layer consults this today (one `tti` summary per
-    /// `sample_every` TTIs); categories that never call `tick` ignore it.
-    pub sample_every: u64,
-}
-
-impl Default for CategoryConfig {
-    fn default() -> Self {
-        CategoryConfig {
-            level: TraceLevel::Off,
-            sample_every: 1,
-        }
-    }
-}
 
 /// Configuration for a live [`TraceHandle`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceConfig {
-    /// Maximum number of events kept in the ring; older events are evicted
-    /// (and counted in [`TraceHandle::dropped_events`]) once full.
+    /// Maximum number of events kept in the ring (>= 1); older events are
+    /// evicted (and counted in [`TraceHandle::dropped_events`]) once full.
     pub capacity: usize,
-    /// Per-category levels and sampling, indexed by [`Category::index`].
-    pub categories: [CategoryConfig; CATEGORY_COUNT],
+    /// Verbosity threshold, the same for every [`Category`].
+    pub level: TraceLevel,
+    /// Record one MAC `tti` summary per `mac_sample_every` TTIs (>= 1; see
+    /// [`TraceHandle::tick`]).
+    pub mac_sample_every: u64,
 }
 
 impl TraceConfig {
-    /// Registry only: all event categories off, but counters/gauges/
-    /// histograms still accumulate. This is what `scenarios::runner`
-    /// attaches when the caller did not ask for a trace.
+    /// Registry only: no events, but counters/gauges/histograms still
+    /// accumulate. This is what `scenarios::runner` attaches when the
+    /// caller did not ask for a trace.
     pub fn registry_only() -> Self {
         TraceConfig {
             capacity: 1 << 16,
-            categories: [CategoryConfig::default(); CATEGORY_COUNT],
+            level: TraceLevel::Off,
+            mac_sample_every: 1,
         }
     }
 
-    /// Info level everywhere; MAC TTI summaries sampled 1-in-1000 (one per
-    /// second of simulated time) so long runs do not flood the ring.
+    /// Info level; MAC TTI summaries sampled 1-in-1000 (one per second of
+    /// simulated time) so long runs do not flood the ring.
     pub fn info() -> Self {
-        Self::registry_only()
-            .with_level(TraceLevel::Info)
-            .with_sampling(Category::Mac, 1000)
-    }
-
-    /// Debug level everywhere; MAC sampled 1-in-100.
-    pub fn debug() -> Self {
-        Self::registry_only()
-            .with_level(TraceLevel::Debug)
-            .with_sampling(Category::Mac, 100)
-    }
-
-    /// Sets every category to `level`.
-    pub fn with_level(mut self, level: TraceLevel) -> Self {
-        for c in &mut self.categories {
-            c.level = level;
+        TraceConfig {
+            level: TraceLevel::Info,
+            mac_sample_every: 1000,
+            ..Self::registry_only()
         }
-        self
     }
 
-    /// Sets one category's level.
-    pub fn with_category(mut self, cat: Category, level: TraceLevel) -> Self {
-        self.categories[cat.index()].level = level;
-        self
-    }
-
-    /// Sets one category's sampling stride (must be >= 1).
-    pub fn with_sampling(mut self, cat: Category, every: u64) -> Self {
-        assert!(every >= 1, "sampling stride must be >= 1");
-        self.categories[cat.index()].sample_every = every;
-        self
-    }
-
-    /// Sets the ring capacity.
-    pub fn with_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity >= 1, "ring capacity must be >= 1");
-        self.capacity = capacity;
-        self
+    /// Debug level; MAC sampled 1-in-100.
+    pub fn debug() -> Self {
+        TraceConfig {
+            level: TraceLevel::Debug,
+            mac_sample_every: 100,
+            ..Self::registry_only()
+        }
     }
 }
 
@@ -100,7 +60,7 @@ struct RecorderState {
     ring: VecDeque<TraceEvent>,
     seq: u64,
     dropped: u64,
-    ticks: [u64; CATEGORY_COUNT],
+    mac_ticks: u64,
 }
 
 #[derive(Debug)]
@@ -135,14 +95,20 @@ impl TraceHandle {
     }
 
     /// Creates a live recorder with the given configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.capacity` or `config.mac_sample_every` is zero.
     pub fn new(config: TraceConfig) -> Self {
+        assert!(config.capacity >= 1, "ring capacity must be >= 1");
+        assert!(config.mac_sample_every >= 1, "sampling stride must be >= 1");
         TraceHandle {
             inner: Some(Rc::new(Inner {
                 state: RefCell::new(RecorderState {
                     ring: VecDeque::with_capacity(config.capacity.min(1 << 12)),
                     seq: 0,
                     dropped: 0,
-                    ticks: [0; CATEGORY_COUNT],
+                    mac_ticks: 0,
                 }),
                 config,
                 registry: Registry::default(),
@@ -161,38 +127,29 @@ impl TraceHandle {
         self.inner.is_some()
     }
 
-    /// True if `cat` records info-level events.
-    pub fn enabled(&self, cat: Category) -> bool {
+    /// True if the recorder keeps debug-level events.
+    pub fn debug_enabled(&self) -> bool {
         match &self.inner {
-            Some(inner) => inner.config.categories[cat.index()].level >= TraceLevel::Info,
+            Some(inner) => inner.config.level >= TraceLevel::Debug,
             None => false,
         }
     }
 
-    /// True if `cat` records debug-level events.
-    pub fn debug_enabled(&self, cat: Category) -> bool {
-        match &self.inner {
-            Some(inner) => inner.config.categories[cat.index()].level >= TraceLevel::Debug,
-            None => false,
-        }
-    }
-
-    /// Advances `cat`'s sampling counter and reports whether this tick is
-    /// selected (`true` every `sample_every`-th call, starting with the
-    /// first). Returns `false` without counting when the category is off, so
+    /// Advances the MAC sampling counter and reports whether this TTI is
+    /// selected (`true` every `mac_sample_every`-th call, starting with the
+    /// first). Returns `false` without counting when events are off, so
     /// sampling depends only on enabled ticks and stays deterministic.
-    pub fn tick(&self, cat: Category) -> bool {
+    pub fn tick(&self) -> bool {
         let Some(inner) = &self.inner else {
             return false;
         };
-        let cfg = inner.config.categories[cat.index()];
-        if cfg.level < TraceLevel::Info {
+        if inner.config.level < TraceLevel::Info {
             return false;
         }
         let mut st = inner.state.borrow_mut();
-        let t = st.ticks[cat.index()];
-        st.ticks[cat.index()] = t + 1;
-        t % cfg.sample_every == 0
+        let t = st.mac_ticks;
+        st.mac_ticks = t + 1;
+        t % inner.config.mac_sample_every == 0
     }
 
     /// Records an info-level event; `build` attaches the payload.
@@ -219,7 +176,7 @@ impl TraceHandle {
         F: FnOnce(&mut EventBuilder),
     {
         let Some(inner) = &self.inner else { return };
-        if inner.config.categories[cat.index()].level < level {
+        if inner.config.level < level {
             return;
         }
         let mut builder = EventBuilder::default();
@@ -321,7 +278,7 @@ mod tests {
         h.incr("c", 1);
         h.observe("h", 1.0);
         assert!(!h.is_attached());
-        assert!(!h.tick(Category::Mac));
+        assert!(!h.tick());
         assert_eq!(h.event_count(), 0);
         assert!(h.snapshot().is_empty());
         assert_eq!(h.to_jsonl(), "");
@@ -335,7 +292,7 @@ mod tests {
         });
         h.incr("solver.solves", 1);
         assert!(h.is_attached());
-        assert!(!h.enabled(Category::Solver));
+        assert!(!h.tick());
         assert_eq!(h.event_count(), 0);
         assert_eq!(h.snapshot().counter("solver.solves"), 1);
     }
@@ -353,14 +310,20 @@ mod tests {
 
     #[test]
     fn sampling_selects_every_nth_tick() {
-        let h = TraceHandle::new(TraceConfig::info().with_sampling(Category::Mac, 3));
-        let picks: Vec<bool> = (0..7).map(|_| h.tick(Category::Mac)).collect();
+        let h = TraceHandle::new(TraceConfig {
+            mac_sample_every: 3,
+            ..TraceConfig::info()
+        });
+        let picks: Vec<bool> = (0..7).map(|_| h.tick()).collect();
         assert_eq!(picks, [true, false, false, true, false, false, true]);
     }
 
     #[test]
     fn ring_evicts_oldest_and_counts_drops() {
-        let h = TraceHandle::new(TraceConfig::info().with_capacity(3));
+        let h = TraceHandle::new(TraceConfig {
+            capacity: 3,
+            ..TraceConfig::info()
+        });
         for i in 0..5u64 {
             h.record(t(i), Category::Player, "request", |e| {
                 e.u64("segment", i);
