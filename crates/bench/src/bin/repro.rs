@@ -99,19 +99,27 @@ fn export_trace(dir: &str, name: &str, params: ExperimentParams) {
     );
 }
 
+/// Prints the usage text and exits with status 2.
+fn usage() -> ! {
+    eprintln!(
+        "usage: repro [--quick] [--runs N] [--secs S] [--seed K] [--jobs N] \
+         [--check-invariants] [--trace DIR] <experiment>...\n\
+         experiments: {} all",
+        ALL.join(" ")
+    );
+    std::process::exit(2)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = parse_cli(&args);
+    let cli = parse_cli(&args).unwrap_or_else(|err| {
+        eprintln!("repro: {err}");
+        usage()
+    });
     let params = cli.params;
     flare_scenarios::set_default_check_invariants(cli.check_invariants);
     if cli.rest.is_empty() {
-        eprintln!(
-            "usage: repro [--quick] [--runs N] [--secs S] [--seed K] [--jobs N] \
-             [--check-invariants] [--trace DIR] <experiment>...\n\
-             experiments: {} all",
-            ALL.join(" ")
-        );
-        std::process::exit(2);
+        usage();
     }
     for name in &cli.rest {
         if name == "all" {

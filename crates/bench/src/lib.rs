@@ -14,42 +14,31 @@
 
 use flare_scenarios::experiments::ExperimentParams;
 use flare_sim::TimeDelta;
+use std::str::FromStr;
 
 /// Parses the sizing flags: `--quick`, `--runs N`, `--secs S`, `--seed K`,
 /// `--jobs N`, starting from the paper-scale sizes.
 ///
-/// Unrecognized arguments are returned for the caller to interpret.
-pub fn parse_params(args: &[String]) -> (ExperimentParams, Vec<String>) {
+/// Unrecognized arguments are returned for the caller to interpret. A
+/// sizing flag without a value, or with a value that is not a
+/// non-negative integer, is an error, and so is a zero `--runs` or
+/// `--secs`.
+pub fn parse_params(args: &[String]) -> Result<(ExperimentParams, Vec<String>), String> {
     let mut params = ExperimentParams::paper();
     let mut jobs = None;
     let mut rest = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--quick" => {
-                params = ExperimentParams::quick();
-            }
-            "--jobs" => {
-                let v = it.next().expect("--jobs needs a value");
-                jobs = Some(
-                    v.parse()
-                        .expect("--jobs must be an integer (0 = all cores)"),
-                );
-            }
-            "--runs" => {
-                let v = it.next().expect("--runs needs a value");
-                params.runs = v.parse().expect("--runs must be an integer");
-            }
+            "--quick" => params = ExperimentParams::quick(),
+            "--jobs" => jobs = Some(flag_value(arg, it.next())?),
+            "--runs" => params.runs = nonzero(arg, flag_value(arg, it.next())?)?,
             "--secs" => {
-                let v = it.next().expect("--secs needs a value");
-                let secs: u64 = v.parse().expect("--secs must be an integer");
+                let secs = nonzero(arg, flag_value(arg, it.next())?)?;
                 params.duration = TimeDelta::from_secs(secs);
                 params.testbed_duration = TimeDelta::from_secs(secs);
             }
-            "--seed" => {
-                let v = it.next().expect("--seed needs a value");
-                params.seed = v.parse().expect("--seed must be an integer");
-            }
+            "--seed" => params.seed = flag_value(arg, it.next())?,
             other => rest.push(other.to_owned()),
         }
     }
@@ -57,7 +46,23 @@ pub fn parse_params(args: &[String]) -> (ExperimentParams, Vec<String>) {
     if let Some(jobs) = jobs {
         params.jobs = jobs;
     }
-    (params, rest)
+    Ok((params, rest))
+}
+
+/// Parses the integer value that follows `flag`.
+fn flag_value<T: FromStr>(flag: &str, value: Option<&String>) -> Result<T, String> {
+    let v = value.ok_or_else(|| format!("{flag} needs a value"))?;
+    v.parse()
+        .map_err(|_| format!("{flag} must be a non-negative integer, got {v}"))
+}
+
+/// Rejects a zero `--runs` or `--secs`: no experiment can summarise zero
+/// runs or zero-length sessions.
+fn nonzero<T: Default + PartialEq>(flag: &str, value: T) -> Result<T, String> {
+    if value == T::default() {
+        return Err(format!("{flag} must be at least 1"));
+    }
+    Ok(value)
 }
 
 /// Fully parsed `repro` command line: sizing parameters, the optional
@@ -78,27 +83,28 @@ pub struct CliOptions {
 
 /// Parses the full `repro` command line: everything [`parse_params`]
 /// accepts plus `--trace DIR` and `--check-invariants`.
-pub fn parse_cli(args: &[String]) -> CliOptions {
-    let (params, unparsed) = parse_params(args);
+pub fn parse_cli(args: &[String]) -> Result<CliOptions, String> {
+    let (params, unparsed) = parse_params(args)?;
     let mut trace_dir = None;
     let mut check_invariants = false;
     let mut rest = Vec::new();
     let mut it = unparsed.into_iter();
     while let Some(arg) = it.next() {
         if arg == "--trace" {
-            trace_dir = Some(it.next().expect("--trace needs a directory"));
+            let dir = it.next().filter(|dir| !dir.starts_with("--"));
+            trace_dir = Some(dir.ok_or("--trace needs a directory")?);
         } else if arg == "--check-invariants" {
             check_invariants = true;
         } else {
             rest.push(arg);
         }
     }
-    CliOptions {
+    Ok(CliOptions {
         params,
         trace_dir,
         check_invariants,
         rest,
-    }
+    })
 }
 
 /// What one `inspect` command line asks for.
@@ -176,14 +182,14 @@ mod tests {
 
     #[test]
     fn defaults_are_paper_scale() {
-        let (p, rest) = parse_params(&args(&["table1"]));
+        let (p, rest) = parse_params(&args(&["table1"])).unwrap();
         assert_eq!(p.runs, 20);
         assert_eq!(rest, vec!["table1".to_owned()]);
     }
 
     #[test]
     fn quick_flag_shrinks() {
-        let (p, _) = parse_params(&args(&["--quick", "fig6"]));
+        let (p, _) = parse_params(&args(&["--quick", "fig6"])).unwrap();
         assert_eq!(p.runs, 2);
     }
 
@@ -191,7 +197,8 @@ mod tests {
     fn explicit_overrides() {
         let (p, rest) = parse_params(&args(&[
             "--runs", "5", "--secs", "300", "--seed", "9", "all",
-        ]));
+        ]))
+        .unwrap();
         assert_eq!(p.runs, 5);
         assert_eq!(p.duration, TimeDelta::from_secs(300));
         assert_eq!(p.testbed_duration, TimeDelta::from_secs(300));
@@ -199,33 +206,73 @@ mod tests {
         assert_eq!(rest, vec!["all".to_owned()]);
     }
 
+    /// Asserts `parse_cli` rejects `bad` with an error starting `why`.
+    fn assert_rejected(bad: &[&str], why: &str) {
+        let err = parse_cli(&args(bad)).expect_err(why);
+        assert!(err.starts_with(why), "{bad:?}: {err}");
+    }
+
+    fn assert_not_an_integer(flag: &str, value: &str) {
+        let why = format!("{flag} must be a non-negative integer, got {value}");
+        assert_rejected(&[flag, value, "fig6"], &why);
+    }
+
     #[test]
-    #[should_panic(expected = "--runs needs a value")]
-    fn missing_value_panics() {
-        let _ = parse_params(&args(&["--runs"]));
+    fn sizing_flag_without_value_is_an_error() {
+        for flag in ["--runs", "--secs", "--seed", "--jobs"] {
+            assert_rejected(&["--quick", flag], &format!("{flag} needs a value"));
+        }
+    }
+
+    #[test]
+    fn non_integer_runs_is_an_error() {
+        assert_not_an_integer("--runs", "two");
+    }
+
+    #[test]
+    fn non_integer_secs_is_an_error() {
+        assert_not_an_integer("--secs", "1.5");
+    }
+
+    #[test]
+    fn non_integer_seed_is_an_error() {
+        assert_not_an_integer("--seed", "-1");
+    }
+
+    #[test]
+    fn non_integer_jobs_is_an_error() {
+        assert_not_an_integer("--jobs", "all");
+    }
+
+    #[test]
+    fn zero_runs_or_secs_is_an_error() {
+        assert_rejected(&["--runs", "0", "fig6"], "--runs must be at least 1");
+        assert_rejected(&["--secs", "0", "fig6"], "--secs must be at least 1");
+        let (p, _) = parse_params(&args(&["--seed", "0", "--jobs", "0"])).unwrap();
+        assert_eq!((p.seed, p.jobs), (0, 0), "zero seed and jobs stay valid");
     }
 
     #[test]
     fn jobs_flag_overrides_quick() {
-        let (p, rest) = parse_params(&args(&["--jobs", "4", "--quick", "fig6"]));
+        let (p, rest) = parse_params(&args(&["--jobs", "4", "--quick", "fig6"])).unwrap();
         assert_eq!(p.jobs, 4);
         assert_eq!(p.runs, 2, "--quick still applies");
         assert_eq!(rest, vec!["fig6".to_owned()]);
-        let (p, _) = parse_params(&args(&["table1"]));
+        let (p, _) = parse_params(&args(&["table1"])).unwrap();
         assert_eq!(p.jobs, 1, "serial by default");
     }
 
     #[test]
     fn check_invariants_flag_is_extracted() {
-        let cli = parse_cli(&args(&["--check-invariants", "--quick", "fig6"]));
+        let cli = parse_cli(&args(&["--check-invariants", "--quick", "fig6"])).unwrap();
         assert!(cli.check_invariants);
         assert_eq!(cli.rest, vec!["fig6".to_owned()]);
-        assert!(!parse_cli(&args(&["fig6"])).check_invariants);
+        assert!(!parse_cli(&args(&["fig6"])).unwrap().check_invariants);
     }
 
     #[test]
     fn trace_flag_is_extracted() {
-        let cli = parse_cli(&args(&["--quick", "--trace", "out", "fig6", "fig7"]));
+        let cli = parse_cli(&args(&["--quick", "--trace", "out", "fig6", "fig7"])).unwrap();
         assert_eq!(cli.params.runs, 2);
         assert_eq!(cli.trace_dir.as_deref(), Some("out"));
         assert_eq!(cli.rest, vec!["fig6".to_owned(), "fig7".to_owned()]);
@@ -233,15 +280,18 @@ mod tests {
 
     #[test]
     fn trace_flag_defaults_off() {
-        let cli = parse_cli(&args(&["table1"]));
+        let cli = parse_cli(&args(&["table1"])).unwrap();
         assert!(cli.trace_dir.is_none());
         assert_eq!(cli.rest, vec!["table1".to_owned()]);
     }
 
     #[test]
-    #[should_panic(expected = "--trace needs a directory")]
-    fn trace_without_dir_panics() {
-        let _ = parse_cli(&args(&["fig6", "--trace"]));
+    fn trace_without_dir_is_an_error() {
+        assert_rejected(&["fig6", "--trace"], "--trace needs a directory");
+        assert_rejected(
+            &["--trace", "--check-invariants", "fig6"],
+            "--trace needs a directory",
+        );
     }
 
     fn live(mobile: bool, secs: u64, emit: Option<&str>) -> InspectCommand {

@@ -7,6 +7,9 @@ use crate::spec::{FlowSpec, ProblemSpec};
 use crate::utility::data_utility;
 use crate::{finish, DiscreteSolution};
 
+/// Objective tolerance: a move is taken only when it gains more than this.
+const EPS: f64 = 1e-12;
+
 /// Precomputes `utility(ladder[l])` for every level of one flow.
 ///
 /// The table holds the *same* `f64`s `FlowSpec::utility` would return (a
@@ -110,6 +113,40 @@ impl<'a> Eval<'a> {
     fn reprice(&mut self) {
         self.cur_penalty = self.penalty(self.used_rbs);
     }
+
+    /// Whether the swap trial "flow `i` one rung down, flow `j` one rung
+    /// up" is sure to be rejected, proved without pricing it.
+    ///
+    /// The penalty is concave in used RBs, so its tangent at the current
+    /// state bounds the trial's gain from above:
+    /// `Δu_i + Δu_j + p′(used)·(Δw_i + Δw_j)`. When that bound is below
+    /// `-EPS` by more than `margin` — far above the priced trial's rounding
+    /// error — the priced objective must fall below `before - EPS`, where
+    /// neither keep condition of the swap loop holds. A trial that breaks
+    /// the RB cap prices at `-inf` and is rejected either way.
+    fn swap_cannot_improve(&self, i: usize, j: usize) -> bool {
+        let (fi, fj) = (&self.spec.flows()[i], &self.spec.flows()[j]);
+        let (li, lj) = (self.levels[i], self.levels[j]);
+        let du_i = self.utils[i][li - 1] - self.utils[i][li];
+        let du_j = self.utils[j][lj + 1] - self.utils[j][lj];
+        let dw = fi.weight() * (fi.ladder()[li - 1] - fi.ladder()[li])
+            + fj.weight() * (fj.ladder()[lj + 1] - fj.ladder()[lj]);
+        let slope = if self.spec.n_data() == 0 {
+            0.0
+        } else {
+            -(self.spec.n_data() as f64) * self.spec.alpha()
+                / (self.spec.total_rbs() - self.used_rbs)
+        };
+        let tangent = slope * dw;
+        let margin = 1e-9
+            * (1.0
+                + self.video_util.abs()
+                + self.cur_penalty.abs()
+                + du_i.abs()
+                + du_j.abs()
+                + tangent.abs());
+        du_i + du_j + tangent < -EPS - margin
+    }
 }
 
 /// A cached marginal gain for upgrading one flow a single ladder level,
@@ -162,7 +199,6 @@ pub fn solve_discrete(spec: &ProblemSpec) -> DiscreteSolution {
         return finish(spec, eval.levels);
     }
 
-    const EPS: f64 = 1e-12;
     // Accepted state transitions, reported as `DiscreteSolution::steps`.
     let mut steps: u64 = 0;
 
@@ -258,12 +294,17 @@ pub fn solve_discrete(spec: &ProblemSpec) -> DiscreteSolution {
                 let pen_before = eval.cur_penalty;
                 let li = eval.levels[i];
                 let lj = eval.levels[j];
+                let pruned = eval.swap_cannot_improve(i, j);
+                // A pruned trial still makes the rejected trial's four
+                // shifts, so its rounding replays bit for bit.
                 eval.shift(i, li - 1);
                 eval.shift(j, lj + 1);
-                eval.reprice();
-                let after = eval.objective();
-                let keeps = after > before + EPS
-                    || (after >= before - EPS && eval.used_rbs < used_before - 1e-9);
+                let keeps = !pruned && {
+                    eval.reprice();
+                    let after = eval.objective();
+                    after > before + EPS
+                        || (after >= before - EPS && eval.used_rbs < used_before - 1e-9)
+                };
                 if keeps {
                     improved = true;
                     steps += 1;
@@ -716,6 +757,65 @@ mod tests {
             load in -0.1f64..1.2,
         ) {
             assert_matches_reference(&random_spec(&flows, n_data, alpha, load));
+        }
+
+        #[test]
+        fn pruned_swaps_are_ones_pricing_rejects(
+            flows in prop::collection::vec(random_flow(), 1..=48),
+            picks in prop::collection::vec(0.0f64..1.0, 48),
+            n_data in 0usize..=16,
+            alpha in 0.25f64..4.0,
+            load in -0.1f64..1.2,
+        ) {
+            let spec = random_spec(&flows, n_data, alpha, load);
+            prop_assume!(!spec.is_overloaded());
+            let utils: Vec<Vec<f64>> = spec.flows().iter().map(level_utils).collect();
+            let mut eval = Eval::new(&spec, &utils);
+            // A random state between each flow's floor and cap, lowered
+            // back to the floors flow by flow until it fits the RB cap.
+            for (i, f) in spec.flows().iter().enumerate() {
+                let span = (f.max_level() - f.min_level() + 1) as f64;
+                eval.apply(i, f.min_level() + (picks[i] * span) as usize);
+            }
+            for (i, f) in spec.flows().iter().enumerate() {
+                if eval.objective().is_finite() {
+                    break;
+                }
+                eval.apply(i, f.min_level());
+            }
+            prop_assert!(eval.objective().is_finite());
+            let levels = eval.levels.clone();
+            let (video_util, used_rbs, cur_penalty) =
+                (eval.video_util, eval.used_rbs, eval.cur_penalty);
+            let before = eval.objective();
+            for (i, fi) in spec.flows().iter().enumerate() {
+                for (j, fj) in spec.flows().iter().enumerate() {
+                    let (li, lj) = (levels[i], levels[j]);
+                    if i == j
+                        || li <= fi.min_level()
+                        || lj >= fj.max_level()
+                        || !eval.swap_cannot_improve(i, j)
+                    {
+                        continue;
+                    }
+                    // Price the trial as the swap loop does, then put the
+                    // state back exactly.
+                    eval.shift(i, li - 1);
+                    eval.shift(j, lj + 1);
+                    eval.reprice();
+                    let after = eval.objective();
+                    let keeps = after > before + EPS
+                        || (after >= before - EPS && eval.used_rbs < used_rbs - 1e-9);
+                    prop_assert!(
+                        !keeps,
+                        "pruned swap ({} down, {} up) is kept: {} -> {}",
+                        i, j, before, after
+                    );
+                    eval.levels.clone_from(&levels);
+                    (eval.video_util, eval.used_rbs, eval.cur_penalty) =
+                        (video_util, used_rbs, cur_penalty);
+                }
+            }
         }
 
         #[test]
