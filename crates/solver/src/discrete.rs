@@ -3,37 +3,87 @@
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-use crate::spec::{FlowSpec, ProblemSpec};
+use crate::spec::ProblemSpec;
 use crate::utility::data_utility;
 use crate::{finish, DiscreteSolution};
 
 /// Objective tolerance: a move is taken only when it gains more than this.
 const EPS: f64 = 1e-12;
 
-/// Precomputes `utility(ladder[l])` for every level of one flow.
+/// `utility(ladder[l])` for every level of every flow in one flat table:
+/// flow `i`'s level `l` sits at `start[i] + l`.
 ///
 /// The table holds the *same* `f64`s `FlowSpec::utility` would return (a
 /// pure function of `(beta, theta, rate)`), so table-driven evaluation is
 /// bit-identical to inline evaluation — it only trades repeated arithmetic
 /// for a lookup.
-fn level_utils(f: &FlowSpec) -> Vec<f64> {
-    f.ladder().iter().map(|&rate| f.utility(rate)).collect()
+struct Utils {
+    values: Vec<f64>,
+    start: Vec<usize>,
+}
+
+impl Utils {
+    fn new(spec: &ProblemSpec) -> Self {
+        let mut values = Vec::with_capacity(spec.flows().iter().map(|f| f.ladder().len()).sum());
+        let start = spec
+            .flows()
+            .iter()
+            .map(|f| {
+                let start = values.len();
+                values.extend(f.ladder().iter().map(|&rate| f.utility(rate)));
+                start
+            })
+            .collect();
+        Utils { values, start }
+    }
+
+    fn at(&self, i: usize, level: usize) -> f64 {
+        self.values[self.start[i] + level]
+    }
+}
+
+/// What moving one flow between two levels adds to the video utility sum
+/// (`du`) and to the RBs consumed (`dw`).
+#[derive(Clone, Copy)]
+struct Rung {
+    du: f64,
+    dw: f64,
+}
+
+impl Rung {
+    /// The entry of a move the flow's floor or cap forbids; never read.
+    const NONE: Rung = Rung {
+        du: f64::NAN,
+        dw: f64::NAN,
+    };
+
+    fn bits(self) -> (u64, u64) {
+        (self.du.to_bits(), self.dw.to_bits())
+    }
 }
 
 /// Incremental evaluation state: video utility sum and RBs consumed.
 ///
-/// `utils[i][l]` must equal `spec.flows()[i].utility(ladder[l])` (see
-/// [`level_utils`]); `cur_penalty` caches `penalty(used_rbs)` for the
-/// current state. Each move evaluates the penalty of the state it reaches
-/// once: [`Eval::price`] hands it to [`Eval::commit`], and a swap trial
+/// `cur_penalty` caches `penalty(used_rbs)` for the current state. Each
+/// move evaluates the penalty of the state it reaches once:
+/// [`Eval::price`] hands it to [`Eval::commit`], and a swap trial
 /// [`Eval::shift`]s both flows unpriced and prices only the moved state.
+///
+/// `down[i]` and `up[i]` are flow `i`'s one-rung-down and one-rung-up moves
+/// from its current level, [`Eval::rung`]'s exact `f64`s; every level change
+/// goes through [`Eval::shift`], which refreshes that flow's two entries.
 struct Eval<'a> {
     spec: &'a ProblemSpec,
-    utils: &'a [Vec<f64>],
+    utils: Utils,
     levels: Vec<usize>,
+    down: Vec<Rung>,
+    up: Vec<Rung>,
     video_util: f64,
     used_rbs: f64,
     cur_penalty: f64,
+    /// `p′(used_rbs)` as of the `used_rbs` whose bits are `slope_at`.
+    slope: f64,
+    slope_at: u64,
 }
 
 /// A priced single move: its objective change and the data penalty of the
@@ -44,20 +94,26 @@ struct Price {
 }
 
 impl<'a> Eval<'a> {
-    fn new(spec: &'a ProblemSpec, utils: &'a [Vec<f64>]) -> Self {
+    fn new(spec: &'a ProblemSpec) -> Self {
         let levels: Vec<usize> = spec.flows().iter().map(|f| f.min_level()).collect();
+        let n = levels.len();
         let mut e = Eval {
             spec,
-            utils,
+            utils: Utils::new(spec),
             levels,
+            down: vec![Rung::NONE; n],
+            up: vec![Rung::NONE; n],
             video_util: 0.0,
             used_rbs: 0.0,
             cur_penalty: 0.0,
+            slope: f64::NAN,
+            slope_at: f64::NAN.to_bits(),
         };
         for (i, f) in spec.flows().iter().enumerate() {
             let rate = f.ladder()[e.levels[i]];
-            e.video_util += e.utils[i][e.levels[i]];
+            e.video_util += e.utils.at(i, e.levels[i]);
             e.used_rbs += f.weight() * rate;
+            e.refresh(i);
         }
         e.reprice();
         e
@@ -75,18 +131,27 @@ impl<'a> Eval<'a> {
         self.video_util + self.cur_penalty
     }
 
+    /// The deltas of moving flow `i` from level `from` to level `to`: the
+    /// one expression [`Eval::price`], [`Eval::shift`] and the move tables
+    /// share.
+    fn rung(&self, i: usize, from: usize, to: usize) -> Rung {
+        let f = &self.spec.flows()[i];
+        Rung {
+            du: self.utils.at(i, to) - self.utils.at(i, from),
+            dw: f.weight() * (f.ladder()[to] - f.ladder()[from]),
+        }
+    }
+
     /// Prices moving flow `i` to `to_level` without moving it.
     fn price(&self, i: usize, to_level: usize) -> Price {
-        let f = &self.spec.flows()[i];
-        let from = f.ladder()[self.levels[i]];
-        let to = f.ladder()[to_level];
-        // The same expression `shift` accumulates, so `commit` can reuse
-        // this penalty as `penalty(used_rbs)` of the moved state.
-        let penalty = self.penalty(self.used_rbs + f.weight() * (to - from));
+        let m = self.rung(i, self.levels[i], to_level);
+        // The same sum `shift` accumulates, so `commit` can reuse this
+        // penalty as `penalty(used_rbs)` of the moved state.
+        let penalty = self.penalty(self.used_rbs + m.dw);
         let gain = if penalty == f64::NEG_INFINITY {
             f64::NEG_INFINITY
         } else {
-            (self.utils[i][to_level] - self.utils[i][self.levels[i]]) + (penalty - self.cur_penalty)
+            m.du + (penalty - self.cur_penalty)
         };
         Price { gain, penalty }
     }
@@ -102,50 +167,129 @@ impl<'a> Eval<'a> {
     /// caller must [`Eval::reprice`] or restore it before reading the
     /// objective.
     fn shift(&mut self, i: usize, to_level: usize) {
-        let f = &self.spec.flows()[i];
-        let from = f.ladder()[self.levels[i]];
-        let to = f.ladder()[to_level];
-        self.video_util += self.utils[i][to_level] - self.utils[i][self.levels[i]];
-        self.used_rbs += f.weight() * (to - from);
+        let m = self.rung(i, self.levels[i], to_level);
+        self.video_util += m.du;
+        self.used_rbs += m.dw;
         self.levels[i] = to_level;
+        self.refresh(i);
+    }
+
+    /// Recomputes flow `i`'s move-table entries at its current level.
+    fn refresh(&mut self, i: usize) {
+        let f = &self.spec.flows()[i];
+        let l = self.levels[i];
+        self.down[i] = if l > f.min_level() {
+            self.rung(i, l, l - 1)
+        } else {
+            Rung::NONE
+        };
+        self.up[i] = if l < f.max_level() {
+            self.rung(i, l, l + 1)
+        } else {
+            Rung::NONE
+        };
+    }
+
+    /// Whether flow `i`'s move-table entries are the ones [`Eval::refresh`]
+    /// would compute now, bit for bit.
+    fn rungs_in_sync(&self, i: usize) -> bool {
+        let f = &self.spec.flows()[i];
+        let l = self.levels[i];
+        (l <= f.min_level() || self.down[i].bits() == self.rung(i, l, l - 1).bits())
+            && (l >= f.max_level() || self.up[i].bits() == self.rung(i, l, l + 1).bits())
     }
 
     fn reprice(&mut self) {
         self.cur_penalty = self.penalty(self.used_rbs);
     }
 
-    /// Whether the swap trial "flow `i` one rung down, flow `j` one rung
-    /// up" is sure to be rejected, proved without pricing it.
-    ///
-    /// The penalty is concave in used RBs, so its tangent at the current
-    /// state bounds the trial's gain from above:
-    /// `Δu_i + Δu_j + p′(used)·(Δw_i + Δw_j)`. When that bound is below
-    /// `-EPS` by more than `margin` — far above the priced trial's rounding
-    /// error — the priced objective must fall below `before - EPS`, where
-    /// neither keep condition of the swap loop holds. A trial that breaks
-    /// the RB cap prices at `-inf` and is rejected either way.
-    fn swap_cannot_improve(&self, i: usize, j: usize) -> bool {
-        let (fi, fj) = (&self.spec.flows()[i], &self.spec.flows()[j]);
-        let (li, lj) = (self.levels[i], self.levels[j]);
-        let du_i = self.utils[i][li - 1] - self.utils[i][li];
-        let du_j = self.utils[j][lj + 1] - self.utils[j][lj];
-        let dw = fi.weight() * (fi.ladder()[li - 1] - fi.ladder()[li])
-            + fj.weight() * (fj.ladder()[lj + 1] - fj.ladder()[lj]);
-        let slope = if self.spec.n_data() == 0 {
-            0.0
-        } else {
-            -(self.spec.n_data() as f64) * self.spec.alpha()
-                / (self.spec.total_rbs() - self.used_rbs)
-        };
-        let tangent = slope * dw;
-        let margin = 1e-9
-            * (1.0
+    /// The slope `p′(used) = −n·α/(N − used)` of the data penalty at the
+    /// current state, recomputed only when `used_rbs`'s bits have changed.
+    fn slope(&mut self) -> f64 {
+        let at = self.used_rbs.to_bits();
+        if at != self.slope_at {
+            self.slope = if self.spec.n_data() == 0 {
+                0.0
+            } else {
+                -(self.spec.n_data() as f64) * self.spec.alpha()
+                    / (self.spec.total_rbs() - self.used_rbs)
+            };
+            self.slope_at = at;
+        }
+        self.slope
+    }
+
+    /// The bound on swap trials that move flow `i` one rung down, with the
+    /// terms of `i`'s side computed once for every partner `j`.
+    fn swap_bound(&mut self, i: usize) -> SwapBound {
+        let slope = self.slope();
+        let down = self.down[i];
+        let tangent = slope * down.dw;
+        SwapBound {
+            slope,
+            gain: down.du + tangent,
+            scale: 1.0
                 + self.video_util.abs()
                 + self.cur_penalty.abs()
-                + du_i.abs()
-                + du_j.abs()
-                + tangent.abs());
-        du_i + du_j + tangent < -EPS - margin
+                + down.du.abs()
+                + tangent.abs(),
+        }
+    }
+
+    /// Makes, from the move tables, the four adds of a swap trial that
+    /// moves flow `i` down and flow `j` up and is then undone: the same
+    /// operands in the same order as two [`Eval::shift`]s there and two
+    /// back (`a - b` is `-(b - a)` exactly), so `video_util` and `used_rbs`
+    /// pick up the same rounding. Levels, tables and `cur_penalty` stay.
+    fn replay_rejected_swap(&mut self, i: usize, j: usize) {
+        let (down, up) = (self.down[i], self.up[j]);
+        self.video_util += down.du;
+        self.used_rbs += down.dw;
+        self.video_util += up.du;
+        self.used_rbs += up.dw;
+        self.video_util -= up.du;
+        self.used_rbs -= up.dw;
+        self.video_util -= down.du;
+        self.used_rbs -= down.dw;
+    }
+}
+
+/// The tangent bound on swap trials "flow `i` one rung down, flow `j` one
+/// rung up", with `i`'s terms hoisted out of the loop over `j`.
+///
+/// The penalty is concave in used RBs, so its tangent at the current state
+/// bounds a trial's gain from above:
+/// `Δu_i + Δu_j + p′(used)·(Δw_i + Δw_j)`. When that bound is below `-EPS`
+/// by more than a `1e-9` relative margin — far above the priced trial's
+/// rounding error — the priced objective must fall below `before - EPS`,
+/// where neither keep condition of the swap loop holds. A trial that breaks
+/// the RB cap prices at `-inf` and is rejected either way.
+///
+/// A bound is valid while flow `i`'s level and `used_rbs` stay as they
+/// were; the swap loop rebuilds it when either changes. `scale` may miss
+/// the few-ulp drift pruned trials leave in `video_util`: over one row of
+/// `j`s that is a few hundred ulps at most, under `1e-4` of the margin.
+struct SwapBound {
+    slope: f64,
+    /// `Δu_i + p′(used)·Δw_i`.
+    gain: f64,
+    /// `1 + |video_util| + |cur_penalty| + |Δu_i| + |p′(used)·Δw_i|`.
+    scale: f64,
+}
+
+impl SwapBound {
+    /// Whether this bound has the slope and `i`-side gain of `fresh`, one
+    /// built from the current state. `scale` may differ by the drift above.
+    fn is_current(&self, fresh: &SwapBound) -> bool {
+        self.slope.to_bits() == fresh.slope.to_bits() && self.gain.to_bits() == fresh.gain.to_bits()
+    }
+
+    /// Whether the trial that moves the partner by `up` is sure to be
+    /// rejected, proved without pricing it.
+    fn rules_out(&self, up: Rung) -> bool {
+        let tangent = self.slope * up.dw;
+        let margin = 1e-9 * (self.scale + up.du.abs() + tangent.abs());
+        self.gain + (up.du + tangent) < -EPS - margin
     }
 }
 
@@ -193,8 +337,7 @@ impl Eq for Upgrade {}
 /// assignment is returned with a `-inf` objective, matching
 /// [`crate::solve_relaxed`].
 pub fn solve_discrete(spec: &ProblemSpec) -> DiscreteSolution {
-    let utils: Vec<Vec<f64>> = spec.flows().iter().map(level_utils).collect();
-    let mut eval = Eval::new(spec, &utils);
+    let mut eval = Eval::new(spec);
     if spec.is_overloaded() {
         return finish(spec, eval.levels);
     }
@@ -280,6 +423,10 @@ pub fn solve_discrete(spec: &ProblemSpec) -> DiscreteSolution {
         // later single-move upgrades; the lexicographic potential
         // (objective, −used RBs) strictly increases, so no cycles).
         for i in 0..n {
+            if eval.levels[i] <= spec.flows()[i].min_level() {
+                continue;
+            }
+            let mut bound = eval.swap_bound(i);
             for j in 0..n {
                 // Re-check every iteration: a successful swap may have moved
                 // flow i down to its floor already.
@@ -289,36 +436,43 @@ pub fn solve_discrete(spec: &ProblemSpec) -> DiscreteSolution {
                 if i == j || eval.levels[j] >= spec.flows()[j].max_level() {
                     continue;
                 }
-                let before = eval.objective();
+                debug_assert!(eval.rungs_in_sync(i) && eval.rungs_in_sync(j));
+                debug_assert!(bound.is_current(&eval.swap_bound(i)));
                 let used_before = eval.used_rbs;
                 let pen_before = eval.cur_penalty;
-                let li = eval.levels[i];
-                let lj = eval.levels[j];
-                let pruned = eval.swap_cannot_improve(i, j);
-                // A pruned trial still makes the rejected trial's four
-                // shifts, so its rounding replays bit for bit.
-                eval.shift(i, li - 1);
-                eval.shift(j, lj + 1);
-                let keeps = !pruned && {
+                let keeps = if bound.rules_out(eval.up[j]) {
+                    eval.replay_rejected_swap(i, j);
+                    false
+                } else {
+                    let before = eval.objective();
+                    let li = eval.levels[i];
+                    let lj = eval.levels[j];
+                    eval.shift(i, li - 1);
+                    eval.shift(j, lj + 1);
                     eval.reprice();
                     let after = eval.objective();
-                    after > before + EPS
-                        || (after >= before - EPS && eval.used_rbs < used_before - 1e-9)
+                    let keeps = after > before + EPS
+                        || (after >= before - EPS && eval.used_rbs < used_before - 1e-9);
+                    if !keeps {
+                        eval.shift(j, lj);
+                        eval.shift(i, li);
+                    }
+                    keeps
                 };
+                let moved = eval.used_rbs.to_bits() != used_before.to_bits();
                 if keeps {
                     improved = true;
                     steps += 1;
+                } else if moved {
+                    eval.reprice();
                 } else {
-                    eval.shift(j, lj);
-                    eval.shift(i, li);
                     // The penalty is a pure function of `used_rbs`, so when
                     // undoing the two adds lands on the same bits the saved
                     // penalty is the one `reprice` would compute.
-                    if eval.used_rbs.to_bits() == used_before.to_bits() {
-                        eval.cur_penalty = pen_before;
-                    } else {
-                        eval.reprice();
-                    }
+                    eval.cur_penalty = pen_before;
+                }
+                if keeps || moved {
+                    bound = eval.swap_bound(i);
                 }
             }
         }
@@ -411,6 +565,8 @@ mod tests {
     }
 
     /// The reference solver's moves: `apply` prices every state it reaches.
+    /// It keeps the move tables in sync too, so tests can set states with
+    /// it and then query the swap bound.
     impl Eval<'_> {
         fn delta(&self, i: usize, to_level: usize) -> f64 {
             let f = &self.spec.flows()[i];
@@ -421,17 +577,19 @@ mod tests {
             if new_pen == f64::NEG_INFINITY {
                 return f64::NEG_INFINITY;
             }
-            (self.utils[i][to_level] - self.utils[i][self.levels[i]]) + (new_pen - self.cur_penalty)
+            (self.utils.at(i, to_level) - self.utils.at(i, self.levels[i]))
+                + (new_pen - self.cur_penalty)
         }
 
         fn apply(&mut self, i: usize, to_level: usize) {
             let f = &self.spec.flows()[i];
             let from = f.ladder()[self.levels[i]];
             let to = f.ladder()[to_level];
-            self.video_util += self.utils[i][to_level] - self.utils[i][self.levels[i]];
+            self.video_util += self.utils.at(i, to_level) - self.utils.at(i, self.levels[i]);
             self.used_rbs += f.weight() * (to - from);
             self.levels[i] = to_level;
             self.cur_penalty = self.penalty(self.used_rbs);
+            self.refresh(i);
         }
     }
 
@@ -440,8 +598,7 @@ mod tests {
     /// solver to this one's levels, `steps` and objective bits. Also
     /// returns the number of polish passes.
     fn solve_discrete_reference(spec: &ProblemSpec) -> (DiscreteSolution, usize) {
-        let utils: Vec<Vec<f64>> = spec.flows().iter().map(level_utils).collect();
-        let mut eval = Eval::new(spec, &utils);
+        let mut eval = Eval::new(spec);
         if spec.is_overloaded() {
             return (finish(spec, eval.levels), 0);
         }
@@ -728,23 +885,38 @@ mod tests {
 
     #[test]
     fn matches_reference_on_fig9_shaped_instance() {
-        // 256 clients and 16 data flows, channels spread over 32–1424
-        // bits/RB and stability caps over rungs 1–5. The budget is half the
-        // fig9_decide cell's 1600 RBs/TTI over a 10 s BAI, so (4a) binds
-        // and the polish keeps swaps over several passes.
-        let flows = (0..256usize).map(|k| {
-            let bits_per_rb = 32.0 + 1392.0 * ((k * 97) % 256) as f64 / 255.0;
-            paper_flow(bits_per_rb, 1 + (k * 7) % 6)
-        });
-        let spec = ProblemSpec::builder()
-            .total_rbs(8e6)
-            .data_flows(16, 1.0)
-            .flows(flows)
-            .build()
-            .unwrap();
-        assert!(!spec.is_overloaded());
-        let passes = assert_matches_reference(&spec);
-        assert!(passes > 1, "only {passes} polish pass(es): no swap kept");
+        // 256 clients, channels spread over 32–1424 bits/RB and stability
+        // caps over rungs 1–5. The budget is half the fig9_decide cell's
+        // 1600 RBs/TTI over a 10 s BAI, so (4a) binds and the polish keeps
+        // swaps over several passes. Besides fig9_decide's 16 data flows,
+        // run it with none (the swap bound's slope is 0) and with floors
+        // over rungs 0–2.
+        for (n_data, floors) in [(16, false), (0, false), (16, true)] {
+            let flows = (0..256usize).map(|k| {
+                let bits_per_rb = 32.0 + 1392.0 * ((k * 97) % 256) as f64 / 255.0;
+                let f = paper_flow(bits_per_rb, 1 + (k * 7) % 6);
+                if floors {
+                    f.with_min_level((k * 5) % 3)
+                } else {
+                    f
+                }
+            });
+            let spec = ProblemSpec::builder()
+                .total_rbs(8e6)
+                .data_flows(n_data, 1.0)
+                .flows(flows)
+                .build()
+                .unwrap();
+            assert!(!spec.is_overloaded());
+            if floors {
+                assert!(spec.flows().iter().any(|f| f.min_level() > 0));
+            }
+            let passes = assert_matches_reference(&spec);
+            assert!(
+                passes > 1,
+                "n_data {n_data}, floors {floors}: only {passes} polish pass(es), no swap kept"
+            );
+        }
     }
 
     proptest! {
@@ -769,8 +941,7 @@ mod tests {
         ) {
             let spec = random_spec(&flows, n_data, alpha, load);
             prop_assume!(!spec.is_overloaded());
-            let utils: Vec<Vec<f64>> = spec.flows().iter().map(level_utils).collect();
-            let mut eval = Eval::new(&spec, &utils);
+            let mut eval = Eval::new(&spec);
             // A random state between each flow's floor and cap, lowered
             // back to the floors flow by flow until it fits the RB cap.
             for (i, f) in spec.flows().iter().enumerate() {
@@ -789,13 +960,13 @@ mod tests {
                 (eval.video_util, eval.used_rbs, eval.cur_penalty);
             let before = eval.objective();
             for (i, fi) in spec.flows().iter().enumerate() {
+                if levels[i] <= fi.min_level() {
+                    continue;
+                }
+                let bound = eval.swap_bound(i);
                 for (j, fj) in spec.flows().iter().enumerate() {
                     let (li, lj) = (levels[i], levels[j]);
-                    if i == j
-                        || li <= fi.min_level()
-                        || lj >= fj.max_level()
-                        || !eval.swap_cannot_improve(i, j)
-                    {
+                    if i == j || lj >= fj.max_level() || !bound.rules_out(eval.up[j]) {
                         continue;
                     }
                     // Price the trial as the swap loop does, then put the
@@ -811,11 +982,35 @@ mod tests {
                         "pruned swap ({} down, {} up) is kept: {} -> {}",
                         i, j, before, after
                     );
-                    eval.levels.clone_from(&levels);
+                    eval.shift(j, lj);
+                    eval.shift(i, li);
                     (eval.video_util, eval.used_rbs, eval.cur_penalty) =
                         (video_util, used_rbs, cur_penalty);
                 }
             }
+        }
+
+        #[test]
+        fn relaxation_upper_bounds_exact_on_random_instances(
+            flows in prop::collection::vec(random_flow(), 1..=48),
+            n_data in 0usize..=16,
+            alpha in 0.25f64..4.0,
+            load in -0.1f64..1.2,
+        ) {
+            // Proposition 1: the relaxation's box contains every ladder
+            // point, so on any instance whose floors fit it is feasible and
+            // its optimum is at least the exact discrete one.
+            let spec = random_spec(&flows, n_data, alpha, load);
+            prop_assume!(!spec.is_overloaded());
+            let relaxed = crate::solve_relaxed(&spec);
+            let exact = solve_discrete(&spec);
+            prop_assert!(relaxed.feasible);
+            prop_assert!(
+                relaxed.objective >= exact.objective - 1e-9 * (1.0 + exact.objective.abs()),
+                "relaxed {} < exact {}",
+                relaxed.objective,
+                exact.objective
+            );
         }
 
         #[test]
