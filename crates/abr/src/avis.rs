@@ -115,9 +115,7 @@ impl AvisAllocator {
         if interval.is_zero() {
             return Vec::new();
         }
-        // EWMA weight rescaled from the native 150 ms epoch to the BAI.
-        let epochs = interval.as_secs_f64() * 1000.0 / self.config.w_ms;
-        let weight = (1.0 - (1.0 - self.config.alpha).powf(epochs)).clamp(0.0, 1.0);
+        let weight = bai_weight(self.config.alpha, self.config.w_ms, interval);
 
         let videos: Vec<_> = report
             .flows
@@ -182,8 +180,9 @@ impl Default for AvisAllocator {
     }
 }
 
-/// Helper: the EWMA weight AVIS applies per report of length `interval`.
-pub fn bai_weight(alpha: f64, w_ms: f64, interval: TimeDelta) -> f64 {
+/// The EWMA weight AVIS applies per report of length `interval`: the native
+/// per-`w_ms` constant `alpha` rescaled to the report length.
+fn bai_weight(alpha: f64, w_ms: f64, interval: TimeDelta) -> f64 {
     let epochs = interval.as_secs_f64() * 1000.0 / w_ms;
     (1.0 - (1.0 - alpha).powf(epochs)).clamp(0.0, 1.0)
 }

@@ -52,22 +52,9 @@ impl PcrfRegistry {
             .count()
     }
 
-    /// Number of video flows.
-    pub fn video_flow_count(&self) -> usize {
-        self.flows
-            .iter()
-            .filter(|(_, c)| *c == FlowClass::Video)
-            .count()
-    }
-
     /// Iterates over all registered flows.
     pub fn iter(&self) -> impl Iterator<Item = (FlowId, FlowClass)> + '_ {
         self.flows.iter().copied()
-    }
-
-    /// The class of a flow, if registered.
-    pub fn class_of(&self, flow: FlowId) -> Option<FlowClass> {
-        self.flows.iter().find(|(f, _)| *f == flow).map(|(_, c)| *c)
     }
 }
 
@@ -92,10 +79,15 @@ mod tests {
         reg.register(ids[0], FlowClass::Video);
         reg.register(ids[1], FlowClass::Data);
         reg.register(ids[2], FlowClass::Data);
-        assert_eq!(reg.video_flow_count(), 1);
         assert_eq!(reg.data_flow_count(), 2);
-        assert_eq!(reg.class_of(ids[1]), Some(FlowClass::Data));
-        assert_eq!(reg.class_of(ids[3]), None);
+        assert_eq!(
+            reg.iter().collect::<Vec<_>>(),
+            vec![
+                (ids[0], FlowClass::Video),
+                (ids[1], FlowClass::Data),
+                (ids[2], FlowClass::Data)
+            ]
+        );
     }
 
     #[test]
@@ -105,8 +97,10 @@ mod tests {
         reg.register(ids[0], FlowClass::Data);
         reg.register(ids[0], FlowClass::Video);
         assert_eq!(reg.data_flow_count(), 0);
-        assert_eq!(reg.video_flow_count(), 1);
-        assert_eq!(reg.iter().count(), 1);
+        assert_eq!(
+            reg.iter().collect::<Vec<_>>(),
+            vec![(ids[0], FlowClass::Video)]
+        );
 
         // Out of id order, and again after a teardown.
         let ids = flows(3);

@@ -1,4 +1,4 @@
-//! Work-stealing thread pool for independent, index-addressed jobs.
+//! Thread pool for independent, index-addressed jobs.
 //!
 //! The unit of work is "run job `i`" for `i` in `0..n_jobs`. Jobs must be
 //! independent: each FLARE experiment run builds its own `SimConfig`, RNG
@@ -7,13 +7,12 @@
 //! and parallel output is bit-identical to serial output. The pool only
 //! changes *which thread* executes a run, never *what* the run computes.
 //!
-//! Scheduling is classic work stealing over `std::thread::scope`: jobs are
-//! dealt round-robin into one deque per worker; each worker pops its own
-//! deque from the front and, when empty, steals from the back of a victim's
-//! deque. Results land in a slot vector indexed by job id, so the returned
-//! `Vec` is always in job order regardless of execution order.
+//! Workers under `std::thread::scope` claim the next job id from one shared
+//! atomic counter until it passes `n_jobs`. Results land in a slot vector
+//! indexed by job id, so the returned `Vec` is always in job order
+//! regardless of execution order.
 
-use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Resolves a `--jobs` request to a worker count: `0` means "all cores".
@@ -36,8 +35,8 @@ fn effective_jobs(requested: usize) -> usize {
 ///
 /// # Panics
 ///
-/// Propagates a panic from any job (the scope join re-raises it), so a
-/// hard-fail invariant violation inside one run aborts the whole sweep.
+/// Propagates a panic from any job (the scope join re-raises it), so an
+/// invariant violation inside one run aborts the whole sweep.
 pub fn run_indexed<T, F>(n_jobs: usize, jobs: usize, job: F) -> Vec<T>
 where
     T: Send,
@@ -48,37 +47,23 @@ where
         return (0..n_jobs).map(job).collect();
     }
 
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| Mutex::new((w..n_jobs).step_by(workers).collect()))
-        .collect();
+    let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..n_jobs).map(|_| Mutex::new(None)).collect();
 
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let queues = &queues;
-                let slots = &slots;
-                let job = &job;
-                scope.spawn(move || loop {
-                    let mut next = queues[w].lock().expect("queue poisoned").pop_front();
-                    if next.is_none() {
-                        // All jobs exist up front, so an empty sweep over
-                        // every victim means nothing is left to run or steal.
-                        for v in 1..workers {
-                            let victim = (w + v) % workers;
-                            next = queues[victim].lock().expect("queue poisoned").pop_back();
-                            if next.is_some() {
-                                break;
-                            }
-                        }
+            .map(|_| {
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n_jobs {
+                        break;
                     }
-                    let Some(i) = next else { break };
                     let out = job(i);
                     *slots[i].lock().expect("slot poisoned") = Some(out);
                 })
             })
             .collect();
-        // Re-raise the original payload so a hard-fail invariant's message
+        // Re-raise the original payload so a violated invariant's message
         // reaches the caller instead of a generic "scoped thread panicked".
         for handle in handles {
             if let Err(payload) = handle.join() {
@@ -116,7 +101,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn zero_jobs_means_all_cores() {
@@ -136,7 +120,7 @@ mod tests {
     fn handles_edge_sizes() {
         assert_eq!(run_indexed(0, 4, |i| i), Vec::<usize>::new());
         assert_eq!(run_indexed(1, 4, |i| i + 10), vec![10]);
-        // More workers than jobs: excess workers find nothing to steal.
+        // More workers than jobs: the worker count is capped at the job count.
         assert_eq!(run_indexed(2, 16, |i| i), vec![0, 1]);
     }
 

@@ -167,8 +167,8 @@ pub struct SimConfig {
     /// Runs the `flare-harness` runtime invariant battery inline: per-TTI RB
     /// conservation and lease return, Eq. (4a)/(4b) checks on every solve,
     /// player buffer/stall sanity, and monotone versioned installs. A
-    /// violation panics the run (hard-fail) after recording a structured
-    /// `invariant` trace event. Defaults to the process-wide setting
+    /// violation panics the run after recording a structured `invariant`
+    /// trace event. Defaults to the process-wide setting
     /// ([`set_default_check_invariants`]), normally off.
     pub check_invariants: bool,
 }

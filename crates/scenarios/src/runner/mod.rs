@@ -177,17 +177,13 @@ pub struct CellSim {
     /// [`SimConfig::trace`], otherwise an internal registry-only recorder
     /// so counters back [`RunResult::telemetry`] in every run.
     trace: TraceHandle,
-    /// Inline runtime invariant battery ([`SimConfig::check_invariants`]);
-    /// hard-fail: the first violation panics the run after recording a
-    /// structured trace event.
+    /// Inline runtime invariant battery ([`SimConfig::check_invariants`]):
+    /// the first violation panics the run after recording a structured
+    /// trace event.
     invariants: Option<InvariantSet>,
     /// Per-video-flow GBR lease expiries snapshotted just before each TTI,
     /// so the lease-return invariant can observe expiries the TTI performs.
     lease_watch: Vec<Option<Time>>,
-    /// Reusable observation buffer for the invariant battery, so checked
-    /// runs do not allocate once the per-TTI observation set has reached
-    /// its steady-state size.
-    obs_scratch: Vec<Observation>,
 }
 
 impl CellSim {
@@ -260,11 +256,9 @@ impl CellSim {
         for (i, player) in players.iter_mut().enumerate() {
             player.set_trace(trace.clone(), i as u64);
         }
-        let invariants = config.check_invariants.then(|| {
-            InvariantSet::standard()
-                .with_trace(trace.clone())
-                .with_hard_fail(true)
-        });
+        let invariants = config
+            .check_invariants
+            .then(|| InvariantSet::new(trace.clone()));
         let lease_watch = vec![None; config.n_video];
         // One segment per `segment` interval per player bounds the record
         // count; reserving it up front keeps steady-state stepping
@@ -284,7 +278,6 @@ impl CellSim {
             trace,
             invariants,
             lease_watch,
-            obs_scratch: Vec::new(),
         }
     }
 
@@ -440,11 +433,14 @@ impl CellSim {
     /// player sanity) to the invariant battery. Caller guarantees
     /// `self.invariants` is populated.
     fn observe_tti(&mut self, tti_start: Time, tti_end: Time) {
-        self.obs_scratch.clear();
-        self.obs_scratch.push(Observation::TtiGrant {
-            granted: self.enb.last_tti_granted_rbs(),
-            budget: self.enb.config().rbs_per_tti,
-        });
+        let inv = self.invariants.as_mut().expect("caller checked");
+        inv.observe(
+            tti_end,
+            &Observation::TtiGrant {
+                granted: self.enb.last_tti_granted_rbs(),
+                budget: self.enb.config().rbs_per_tti,
+            },
+        );
         for (i, &flow) in self.video_flows.iter().enumerate() {
             let Some(expiry) = self.lease_watch[i] else {
                 continue;
@@ -454,26 +450,28 @@ impl CellSim {
                 // (observed before any control-plane delivery can renew it).
                 let gbr_cleared =
                     self.enb.qos(flow).gbr.is_none() && self.enb.lease_expiry(flow).is_none();
-                self.obs_scratch.push(Observation::LeaseExpiry {
-                    flow: flow.index() as u64,
-                    gbr_cleared,
-                });
+                inv.observe(
+                    tti_end,
+                    &Observation::LeaseExpiry {
+                        flow: flow.index() as u64,
+                        gbr_cleared,
+                    },
+                );
             }
         }
         let resume_threshold_ms = self.config.player.resume_threshold.as_millis() as i64;
         for (i, player) in self.players.iter().enumerate() {
-            self.obs_scratch.push(Observation::PlayerState {
-                ue: i as u64,
-                buffer_ms: player.buffer_level().as_millis() as i64,
-                stalled: player.stalled(),
-                rebuffer_events: player.rebuffer_events(),
-                resume_threshold_ms,
-                finished: player.finished(),
-            });
-        }
-        let inv = self.invariants.as_mut().expect("caller checked");
-        for o in &self.obs_scratch {
-            inv.observe(tti_end, o);
+            inv.observe(
+                tti_end,
+                &Observation::PlayerState {
+                    ue: i as u64,
+                    buffer_ms: player.buffer_level().as_millis() as i64,
+                    stalled: player.stalled(),
+                    rebuffer_events: player.rebuffer_events(),
+                    resume_threshold_ms,
+                    finished: player.finished(),
+                },
+            );
         }
     }
 }
@@ -736,6 +734,26 @@ mod tests {
             .build()
     }
 
+    /// FLARE-R, 3 video + 1 data UEs, over a control plane that drops 30 %
+    /// of messages and jitters the rest by up to 800 ms.
+    fn faulty_resilient(secs: u64) -> crate::config::SimConfigBuilder {
+        SimConfig::builder()
+            .seed(11)
+            .duration(TimeDelta::from_secs(secs))
+            .bai(TimeDelta::from_secs(10))
+            .videos(3)
+            .data_flows(1)
+            .channel(ChannelKind::Static { itbs: 10 })
+            .scheme(SchemeKind::Flare(
+                FlareConfig::default().with_robustness(flare_core::RobustnessConfig::default()),
+            ))
+            .faults(
+                flare_core::FaultModel::perfect()
+                    .with_drop_prob(0.3)
+                    .with_jitter(TimeDelta::from_millis(800)),
+            )
+    }
+
     #[test]
     fn festive_run_produces_complete_results() {
         let result = CellSim::new(base(SchemeKind::Festive)).run();
@@ -957,25 +975,7 @@ mod tests {
 
     #[test]
     fn faulty_runs_are_deterministic_per_seed() {
-        let mk = || {
-            let cfg = SimConfig::builder()
-                .seed(11)
-                .duration(TimeDelta::from_secs(150))
-                .bai(TimeDelta::from_secs(10))
-                .videos(3)
-                .data_flows(1)
-                .channel(ChannelKind::Static { itbs: 10 })
-                .scheme(SchemeKind::Flare(
-                    FlareConfig::default().with_robustness(flare_core::RobustnessConfig::default()),
-                ))
-                .faults(
-                    flare_core::FaultModel::perfect()
-                        .with_drop_prob(0.3)
-                        .with_jitter(TimeDelta::from_millis(800)),
-                )
-                .build();
-            CellSim::new(cfg).run()
-        };
+        let mk = || CellSim::new(faulty_resilient(150).build()).run();
         let (a, b) = (mk(), mk());
         assert_eq!(a.robustness, b.robustness);
         for (va, vb) in a.videos.iter().zip(&b.videos) {
@@ -1006,23 +1006,7 @@ mod tests {
         // The message path exercises the install and lease-return checks:
         // drops and reordering must produce stale *rejections*, never an
         // out-of-order install or a leaked lease.
-        let cfg = SimConfig::builder()
-            .seed(11)
-            .duration(TimeDelta::from_secs(150))
-            .bai(TimeDelta::from_secs(10))
-            .videos(3)
-            .data_flows(1)
-            .channel(ChannelKind::Static { itbs: 10 })
-            .scheme(SchemeKind::Flare(
-                FlareConfig::default().with_robustness(flare_core::RobustnessConfig::default()),
-            ))
-            .faults(
-                flare_core::FaultModel::perfect()
-                    .with_drop_prob(0.3)
-                    .with_jitter(TimeDelta::from_millis(800)),
-            )
-            .check_invariants(true)
-            .build();
+        let cfg = faulty_resilient(150).check_invariants(true).build();
         let result = CellSim::new(cfg).run();
         assert!(result.robustness.unwrap().installs > 0);
     }
@@ -1065,13 +1049,23 @@ mod tests {
 
     #[test]
     fn invariant_checking_does_not_change_results() {
-        // The observation path is read-only: a checked run and an unchecked
-        // run of the same seed must be bit-identical.
-        let plain = CellSim::new(base(SchemeKind::Flare(FlareConfig::default()))).run();
-        let checked = CellSim::new(base_checked(SchemeKind::Flare(FlareConfig::default()))).run();
-        for (a, b) in plain.videos.iter().zip(&checked.videos) {
-            assert_eq!(a.rate_series.points(), b.rate_series.points());
-            assert_eq!(a.throughput_series.points(), b.throughput_series.points());
-        }
+        // The observation path is read-only: a checked and an unchecked run
+        // of the same faulty cell write the same trace bytes and counters.
+        let run = |check: bool| {
+            let trace = TraceHandle::new(TraceConfig::info());
+            let cfg = faulty_resilient(300)
+                .trace(trace.clone())
+                .check_invariants(check)
+                .build();
+            let _ = CellSim::new(cfg).run();
+            (trace.to_jsonl(), trace.snapshot())
+        };
+        let (plain_jsonl, plain) = run(false);
+        let (checked_jsonl, checked) = run(true);
+        assert_eq!(plain_jsonl, checked_jsonl);
+        assert_eq!(plain.counters, checked.counters);
+        // The install and lease-expiry observations really ran.
+        assert!(checked.counter("plugin.installs") > 0);
+        assert!(checked.counter("enforce.lease_expiries") > 0);
     }
 }

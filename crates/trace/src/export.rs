@@ -1,4 +1,4 @@
-//! JSONL / CSV trace export and the matching JSONL parser.
+//! JSONL trace export and the matching parser.
 //!
 //! The workspace has no serialization dependency, so serialization here is
 //! hand-rolled. The format is deliberately tiny: each line is one flat JSON
@@ -93,34 +93,6 @@ pub fn to_jsonl(events: &[TraceEvent]) -> String {
     for ev in events {
         out.push_str(&to_json_line(ev));
         out.push('\n');
-    }
-    out
-}
-
-/// Serializes events as CSV with a fixed header; payload fields are packed
-/// into one `fields` column as `k=v` pairs joined by `;`. Lossy for string
-/// values containing the delimiters — use JSONL for round-trips.
-pub fn to_csv(events: &[TraceEvent]) -> String {
-    let mut out = String::from("time_ms,seq,category,event,fields\n");
-    for ev in events {
-        let fields = ev
-            .fields
-            .iter()
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect::<Vec<_>>()
-            .join(";");
-        let quoted = fields
-            .replace('"', "\"\"")
-            .replace('\n', "\\n")
-            .replace('\r', "\\r");
-        out.push_str(&format!(
-            "{},{},{},{},\"{}\"\n",
-            ev.time_ms,
-            ev.seq,
-            ev.category.as_str(),
-            ev.name,
-            quoted
-        ));
     }
     out
 }
@@ -456,15 +428,5 @@ mod tests {
     fn parse_skips_blank_lines() {
         let text = "\n{\"t\":1,\"seq\":0,\"cat\":\"mac\",\"ev\":\"tti\"}\n\n";
         assert_eq!(parse_jsonl(text).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let csv = to_csv(&sample_events());
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("time_ms,seq,"));
-        assert!(lines[1].contains("solver"));
-        assert!(lines[2].contains("rbs=50"));
     }
 }

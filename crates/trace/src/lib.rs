@@ -40,7 +40,7 @@ mod recorder;
 mod registry;
 
 pub use event::{Category, EventBuilder, TraceEvent, TraceLevel, Value};
-pub use export::{parse_jsonl, to_csv, to_json_line, to_jsonl, ParseError};
+pub use export::{parse_jsonl, to_json_line, to_jsonl, ParseError};
 pub use recorder::{TraceConfig, TraceHandle};
 pub use registry::{HistogramSummary, RegistrySnapshot};
 

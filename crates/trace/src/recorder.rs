@@ -254,11 +254,6 @@ impl TraceHandle {
     pub fn to_jsonl(&self) -> String {
         crate::export::to_jsonl(&self.events())
     }
-
-    /// Exports all buffered events as CSV (header + one row per event).
-    pub fn to_csv(&self) -> String {
-        crate::export::to_csv(&self.events())
-    }
 }
 
 #[cfg(test)]

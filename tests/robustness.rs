@@ -482,10 +482,11 @@ fn overloaded_bais_return_floors_and_are_counted() {
 #[test]
 fn overloaded_cell_runs_end_to_end_at_the_floors() {
     // The same overload as above, driven through a whole `CellSim` run with
-    // the invariant battery in hard-fail mode: 24 FLARE players at iTbs 0
-    // cannot all stream even at 100 kbps. Every BAI is overloaded, the
-    // server hands out the floors, and (4a)'s check accepts them because
-    // they use no more of the budget than the floors themselves.
+    // the invariant battery on, which panics on any violation: 24 FLARE
+    // players at iTbs 0 cannot all stream even at 100 kbps. Every BAI is
+    // overloaded, the server hands out the floors, and (4a)'s check accepts
+    // them because they use no more of the budget than the floors
+    // themselves.
     let config = SimConfig::builder()
         .videos(24)
         .data_flows(0)
