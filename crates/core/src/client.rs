@@ -27,7 +27,13 @@ pub struct ClientPrefs {
     pub theta: Option<Rate>,
 }
 
-/// Everything the server knows about one video client.
+/// Everything the server knows about one video client: what the plugin
+/// sends when a video starts.
+///
+/// FLARE's privacy argument rests on what this carries: the flow (whose
+/// identity comes from the bearer), the anonymized bitrate list of the
+/// MPD, and whatever [`ClientPrefs`] the client opts to disclose. It has
+/// no field for the video's title or URL.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClientInfo {
     flow: FlowId,
@@ -137,5 +143,15 @@ mod tests {
         };
         let info = ClientInfo::new(flow(), BitrateLadder::testbed()).with_prefs(prefs);
         assert_eq!(info.min_allowed_level(), Level::new(2));
+    }
+
+    #[test]
+    fn client_info_carries_no_identifying_information() {
+        let info = ClientInfo::new(flow(), BitrateLadder::testbed());
+        let dump = format!("{info:?}");
+        // Bitrates and disclosed preferences only: no title/url fields
+        // exist in the schema at all.
+        assert!(!dump.contains("title"));
+        assert!(!dump.contains("url"));
     }
 }

@@ -21,7 +21,9 @@ pub enum SolveMode {
 /// The paper assumes the OneAPI coordination loop is lossless; these knobs
 /// govern how each side degrades when statistics reports or assignments go
 /// missing (dropped, delayed, or lost to a server outage). All horizons are
-/// counted in BAIs, the loop's natural heartbeat.
+/// counted in BAIs, the loop's natural heartbeat, and must be at least one;
+/// `stats_aging` lies in `[0, 1]`. Override fields with a struct literal
+/// over [`RobustnessConfig::default`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RobustnessConfig {
     /// Plugin: BAIs without a fresh assignment before it falls back to its
@@ -53,45 +55,6 @@ impl Default for RobustnessConfig {
             evict_bais: 6,
             stats_aging: 0.7,
         }
-    }
-}
-
-impl RobustnessConfig {
-    /// Returns a copy with a different fallback threshold `k`.
-    pub fn with_stale_bais(mut self, k: u32) -> Self {
-        assert!(k > 0, "stale threshold must be at least one BAI");
-        self.stale_bais = k;
-        self
-    }
-
-    /// Returns a copy with a different rejoin hysteresis.
-    pub fn with_rejoin_bais(mut self, n: u32) -> Self {
-        self.rejoin_bais = n;
-        self
-    }
-
-    /// Returns a copy with a different lease length `l`.
-    pub fn with_lease_bais(mut self, l: u32) -> Self {
-        assert!(l > 0, "lease must last at least one BAI");
-        self.lease_bais = l;
-        self
-    }
-
-    /// Returns a copy with a different eviction horizon `m`.
-    pub fn with_evict_bais(mut self, m: u32) -> Self {
-        assert!(m > 0, "eviction horizon must be at least one BAI");
-        self.evict_bais = m;
-        self
-    }
-
-    /// Returns a copy with a different aging factor.
-    pub fn with_stats_aging(mut self, aging: f64) -> Self {
-        assert!(
-            aging.is_finite() && (0.0..=1.0).contains(&aging),
-            "aging factor must be in [0, 1]"
-        );
-        self.stats_aging = aging;
-        self
     }
 }
 
@@ -214,24 +177,11 @@ mod tests {
     #[test]
     fn robustness_defaults_and_builders() {
         assert!(FlareConfig::default().robustness.is_none());
-        let r = RobustnessConfig::default()
-            .with_stale_bais(2)
-            .with_rejoin_bais(3)
-            .with_lease_bais(4)
-            .with_evict_bais(8)
-            .with_stats_aging(0.5);
-        assert_eq!(r.stale_bais, 2);
-        assert_eq!(r.rejoin_bais, 3);
-        assert_eq!(r.lease_bais, 4);
-        assert_eq!(r.evict_bais, 8);
-        assert_eq!(r.stats_aging, 0.5);
+        let r = RobustnessConfig {
+            lease_bais: 4,
+            ..RobustnessConfig::default()
+        };
         let c = FlareConfig::default().with_robustness(r);
         assert_eq!(c.robustness, Some(r));
-    }
-
-    #[test]
-    #[should_panic(expected = "lease")]
-    fn zero_lease_panics() {
-        let _ = RobustnessConfig::default().with_lease_bais(0);
     }
 }

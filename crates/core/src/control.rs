@@ -2,29 +2,31 @@
 //!
 //! The paper treats the plugin ↔ server ↔ eNodeB message exchange as
 //! lossless and instantaneous. Real deployments run it over a mobile
-//! operator's signalling path: messages get dropped, delayed, reordered,
-//! and the server itself goes away for maintenance windows. This module
-//! models that path explicitly:
+//! operator's signalling path: messages get dropped or delayed, and the
+//! server itself goes away for maintenance windows. This module models that
+//! path explicitly:
 //!
-//! * [`FaultModel`] — per-message drop probability, fixed delay plus
-//!   uniform jitter, reordering (a message held back long enough for its
-//!   successor to overtake it), and scheduled server outage windows.
+//! * [`FaultModel`] — per-message drop probability, uniform delivery
+//!   jitter, and scheduled server outage windows. Jitter longer than a BAI
+//!   lets a later message overtake an earlier one.
 //! * [`ControlPlane`] — two delay queues (uplink statistics reports,
 //!   downlink assignments) through which every message passes. Fault
 //!   decisions come from a dedicated seeded RNG stream, so a faulty run is
 //!   exactly reproducible and fault randomness never perturbs the
-//!   simulation's other stochastic processes.
+//!   simulation's other stochastic processes. Message fates are counted in
+//!   the trace registry (`control.*`), the one place they are kept.
 //!
 //! With [`FaultModel::perfect`] every message is delivered unmodified at
 //! the instant it is sent and the RNG is never consulted — the loop behaves
 //! exactly as the paper assumes.
 
+use flare_lte::IntervalReport;
 use flare_sim::rng::stream;
 use flare_sim::{Time, TimeDelta};
 use flare_trace::{Category, TraceHandle};
 use rand::Rng;
 
-use crate::messages::{AssignmentMsg, StatsReportMsg};
+use crate::messages::AssignmentMsg;
 
 /// A closed interval of simulation time during which the OneAPI server is
 /// unreachable (crash, failover, maintenance).
@@ -58,16 +60,9 @@ impl OutageWindow {
 pub struct FaultModel {
     /// Probability that any individual message is silently dropped.
     pub drop_prob: f64,
-    /// Fixed one-way delivery delay applied to every message.
-    pub delay: TimeDelta,
-    /// Extra uniformly distributed delay in `[0, jitter]` per message.
+    /// Uniformly distributed delivery delay in `[0, jitter]` per message.
+    /// Jitter longer than a BAI lets a later message arrive first.
     pub jitter: TimeDelta,
-    /// Probability that a message is held back by [`FaultModel::reorder_delay`],
-    /// letting later messages overtake it.
-    pub reorder_prob: f64,
-    /// How long a reordered message is held back (default: one 10 s BAI, so
-    /// the *next* assignment always overtakes it).
-    pub reorder_delay: TimeDelta,
     /// Scheduled windows during which the server is down: uplink messages
     /// due in a window are lost, and no assignments are issued.
     pub outages: Vec<OutageWindow>,
@@ -84,10 +79,7 @@ impl FaultModel {
     pub fn perfect() -> Self {
         FaultModel {
             drop_prob: 0.0,
-            delay: TimeDelta::ZERO,
             jitter: TimeDelta::ZERO,
-            reorder_prob: 0.0,
-            reorder_delay: TimeDelta::from_secs(10),
             outages: Vec::new(),
         }
     }
@@ -99,29 +91,9 @@ impl FaultModel {
         self
     }
 
-    /// Returns a copy with a fixed delivery delay.
-    pub fn with_delay(mut self, delay: TimeDelta) -> Self {
-        self.delay = delay;
-        self
-    }
-
     /// Returns a copy with uniform per-message jitter in `[0, jitter]`.
     pub fn with_jitter(mut self, jitter: TimeDelta) -> Self {
         self.jitter = jitter;
-        self
-    }
-
-    /// Returns a copy with a reordering probability.
-    pub fn with_reorder_prob(mut self, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1]");
-        self.reorder_prob = p;
-        self
-    }
-
-    /// Returns a copy with a different hold-back time for reordered
-    /// messages.
-    pub fn with_reorder_delay(mut self, delay: TimeDelta) -> Self {
-        self.reorder_delay = delay;
         self
     }
 
@@ -131,32 +103,10 @@ impl FaultModel {
         self
     }
 
-    /// Whether this model never alters any message.
-    pub fn is_perfect(&self) -> bool {
-        self.drop_prob == 0.0
-            && self.delay.is_zero()
-            && self.jitter.is_zero()
-            && self.reorder_prob == 0.0
-            && self.outages.is_empty()
-    }
-
     /// Whether the server is inside an outage window at `now`.
     pub fn in_outage(&self, now: Time) -> bool {
         self.outages.iter().any(|w| w.contains(now))
     }
-}
-
-/// Delivery and loss counters, for experiment telemetry.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ControlPlaneStats {
-    /// Messages handed to receivers.
-    pub delivered: u64,
-    /// Messages dropped by the loss process.
-    pub dropped: u64,
-    /// Uplink messages lost because they arrived during a server outage.
-    pub lost_to_outage: u64,
-    /// Messages that were held back by the reordering process.
-    pub reordered: u64,
 }
 
 #[derive(Debug)]
@@ -175,10 +125,9 @@ struct InFlight<M> {
 pub struct ControlPlane {
     faults: FaultModel,
     rng: rand::rngs::SmallRng,
-    uplink: Vec<InFlight<StatsReportMsg>>,
+    uplink: Vec<InFlight<IntervalReport>>,
     downlink: Vec<InFlight<AssignmentMsg>>,
     sent: u64,
-    stats: ControlPlaneStats,
     trace: TraceHandle,
 }
 
@@ -192,32 +141,21 @@ impl ControlPlane {
             uplink: Vec::new(),
             downlink: Vec::new(),
             sent: 0,
-            stats: ControlPlaneStats::default(),
             trace: TraceHandle::disabled(),
         }
     }
 
     /// Returns this control plane with a trace recorder attached. Message
-    /// fates become [`Category::Control`] events, and the delivery/loss
-    /// counters are mirrored into the registry (`control.*`). Trace
-    /// recording never consults the fault RNG, so attaching a recorder
-    /// cannot perturb the fault pattern.
+    /// fates become [`Category::Control`] events and registry counters
+    /// (`control.delivered`, `control.dropped`, `control.lost_to_outage`).
+    /// Trace recording never consults the fault RNG, so attaching a
+    /// recorder cannot perturb the fault pattern.
     pub fn with_trace(mut self, trace: TraceHandle) -> Self {
         // The delivery counter exists from the start even if nothing is
         // ever delivered (the receive paths skip empty links).
         trace.incr("control.delivered", 0);
         self.trace = trace;
         self
-    }
-
-    /// The active fault model.
-    pub fn faults(&self) -> &FaultModel {
-        &self.faults
-    }
-
-    /// Delivery/loss counters so far.
-    pub fn stats(&self) -> ControlPlaneStats {
-        self.stats
     }
 
     /// Whether the server is unreachable at `now`.
@@ -230,36 +168,27 @@ impl ControlPlane {
     /// actually enabled, so a perfect model stays RNG-silent.
     fn fate(&mut self, now: Time, link: &'static str) -> Option<Time> {
         if self.faults.drop_prob > 0.0 && self.rng.gen_bool(self.faults.drop_prob) {
-            self.stats.dropped += 1;
             self.trace.incr("control.dropped", 1);
             self.trace.record(now, Category::Control, "drop", |e| {
                 e.str("link", link);
             });
             return None;
         }
-        let mut at = now + self.faults.delay;
+        let mut at = now;
         if !self.faults.jitter.is_zero() {
             let extra = self.rng.gen_range(0..=self.faults.jitter.as_millis());
             at += TimeDelta::from_millis(extra);
         }
-        let mut reordered = false;
-        if self.faults.reorder_prob > 0.0 && self.rng.gen_bool(self.faults.reorder_prob) {
-            self.stats.reordered += 1;
-            self.trace.incr("control.reordered", 1);
-            at += self.faults.reorder_delay;
-            reordered = true;
-        }
         self.trace
             .record_debug(now, Category::Control, "sent", |e| {
                 e.str("link", link)
-                    .u64("delay_ms", at.saturating_since(now).as_millis())
-                    .bool("reordered", reordered);
+                    .u64("delay_ms", at.saturating_since(now).as_millis());
             });
         Some(at)
     }
 
     /// eNodeB → server: submits one statistics report at time `now`.
-    pub fn send_report(&mut self, now: Time, msg: StatsReportMsg) {
+    pub fn send_report(&mut self, now: Time, msg: IntervalReport) {
         if let Some(deliver_at) = self.fate(now, "up") {
             self.sent += 1;
             self.uplink.push(InFlight {
@@ -274,7 +203,7 @@ impl ControlPlane {
     ///
     /// Reports due while the server is inside an outage window are lost
     /// (the server was not there to take the connection).
-    pub fn recv_reports(&mut self, now: Time) -> Vec<StatsReportMsg> {
+    pub fn recv_reports(&mut self, now: Time) -> Vec<IntervalReport> {
         if self.uplink.is_empty() {
             return Vec::new();
         }
@@ -282,14 +211,12 @@ impl ControlPlane {
         let mut out = Vec::with_capacity(due.len());
         for m in due {
             if self.faults.in_outage(m.deliver_at) {
-                self.stats.lost_to_outage += 1;
                 self.trace.incr("control.lost_to_outage", 1);
                 self.trace
                     .record(now, Category::Control, "outage_loss", |e| {
                         e.str("link", "up");
                     });
             } else {
-                self.stats.delivered += 1;
                 self.trace.incr("control.delivered", 1);
                 out.push(m.msg);
             }
@@ -312,13 +239,12 @@ impl ControlPlane {
     }
 
     /// Client side: receives every assignment due by `now`, in delivery
-    /// order (reordered messages genuinely arrive late).
+    /// order (an overtaken message genuinely arrives late).
     pub fn recv_assignments(&mut self, now: Time) -> Vec<AssignmentMsg> {
         if self.downlink.is_empty() {
             return Vec::new();
         }
         let due = Self::take_due(&mut self.downlink, now);
-        self.stats.delivered += due.len() as u64;
         self.trace.incr("control.delivered", due.len() as u64);
         due.into_iter().map(|m| m.msg).collect()
     }
@@ -346,11 +272,12 @@ impl ControlPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flare_trace::TraceConfig;
 
-    fn report(end_ms: u64) -> StatsReportMsg {
-        StatsReportMsg {
-            start_ms: end_ms.saturating_sub(10_000),
-            end_ms,
+    fn report(end_ms: u64) -> IntervalReport {
+        IntervalReport {
+            start: Time::from_millis(end_ms.saturating_sub(10_000)),
+            end: Time::from_millis(end_ms),
             flows: vec![],
         }
     }
@@ -365,69 +292,92 @@ mod tests {
         }
     }
 
+    /// A control plane counting message fates in a registry-only trace.
+    fn counted(faults: FaultModel) -> (ControlPlane, TraceHandle) {
+        let trace = TraceHandle::registry_only();
+        (
+            ControlPlane::new(faults, 1).with_trace(trace.clone()),
+            trace,
+        )
+    }
+
     #[test]
     fn perfect_plane_delivers_immediately_in_order() {
-        let mut cp = ControlPlane::new(FaultModel::perfect(), 1);
+        let (mut cp, trace) = counted(FaultModel::perfect());
         cp.send_report(Time::from_secs(10), report(10_000));
         let got = cp.recv_reports(Time::from_secs(10));
         assert_eq!(got.len(), 1);
-        assert_eq!(got[0].end_ms, 10_000);
+        assert_eq!(got[0].end, Time::from_secs(10));
         cp.send_assignments(Time::from_secs(10), vec![assignment(1), assignment(2)]);
         let got = cp.recv_assignments(Time::from_secs(10));
         assert_eq!(got.iter().map(|a| a.seq).collect::<Vec<_>>(), vec![1, 2]);
         assert_eq!(cp.in_flight(), 0);
-        assert_eq!(cp.stats().dropped, 0);
+        let counters = trace.snapshot();
+        assert_eq!(counters.counter("control.delivered"), 3);
+        assert_eq!(counters.counter("control.dropped"), 0);
     }
 
     #[test]
     fn full_loss_drops_everything() {
-        let mut cp = ControlPlane::new(FaultModel::perfect().with_drop_prob(1.0), 1);
+        let (mut cp, trace) = counted(FaultModel::perfect().with_drop_prob(1.0));
         cp.send_report(Time::ZERO, report(0));
         cp.send_assignments(Time::ZERO, vec![assignment(1)]);
         assert!(cp.recv_reports(Time::from_secs(100)).is_empty());
         assert!(cp.recv_assignments(Time::from_secs(100)).is_empty());
-        assert_eq!(cp.stats().dropped, 2);
+        assert_eq!(trace.snapshot().counter("control.dropped"), 2);
         assert_eq!(cp.in_flight(), 0);
     }
 
     #[test]
-    fn delay_holds_messages_until_due() {
-        let fm = FaultModel::perfect().with_delay(TimeDelta::from_secs(3));
-        let mut cp = ControlPlane::new(fm, 1);
-        cp.send_assignments(Time::from_secs(10), vec![assignment(1)]);
-        assert!(cp.recv_assignments(Time::from_secs(12)).is_empty());
-        assert_eq!(cp.recv_assignments(Time::from_secs(13)).len(), 1);
-    }
-
-    #[test]
     fn reordered_assignment_arrives_after_its_successor() {
-        // Hold back every message by one BAI: the assignment sent at t=10
-        // arrives after the one sent at t=20.
-        let fm = FaultModel::perfect()
-            .with_reorder_prob(1.0)
-            .with_reorder_delay(TimeDelta::from_secs(10));
-        let mut cp = ControlPlane::new(fm, 1);
-        cp.send_assignments(Time::from_secs(10), vec![assignment(1)]);
-        cp.send_assignments(Time::from_secs(20), vec![assignment(2)]);
-        let at20 = cp.recv_assignments(Time::from_secs(20));
-        assert_eq!(at20.iter().map(|a| a.seq).collect::<Vec<_>>(), vec![1]);
-        let at30 = cp.recv_assignments(Time::from_secs(30));
-        assert_eq!(at30.iter().map(|a| a.seq).collect::<Vec<_>>(), vec![2]);
-        assert_eq!(cp.stats().reordered, 2);
+        // 25 s of jitter against a 10 s send period: later assignments
+        // regularly arrive first. The debug `sent` events record each
+        // message's drawn delay; polling every millisecond shows each one
+        // arriving exactly when it falls due, never before.
+        let trace = TraceHandle::new(TraceConfig::debug());
+        let fm = FaultModel::perfect().with_jitter(TimeDelta::from_secs(25));
+        let mut cp = ControlPlane::new(fm, 1).with_trace(trace.clone());
+        let sends = 20u64;
+        for seq in 0..sends {
+            cp.send_assignments(Time::from_secs(seq * 10), vec![assignment(seq)]);
+        }
+        let due: Vec<u64> = trace
+            .events()
+            .iter()
+            .filter(|e| e.name == "sent")
+            .map(|e| e.time_ms + e.u64_field("delay_ms").unwrap())
+            .collect();
+        assert_eq!(due.len() as u64, sends);
+        let mut arrivals = Vec::new();
+        for ms in 0..=(sends * 10_000 + 25_000) {
+            for a in cp.recv_assignments(Time::from_millis(ms)) {
+                assert_eq!(
+                    ms, due[a.seq as usize],
+                    "seq {} delivered off its due time",
+                    a.seq
+                );
+                arrivals.push(a.seq);
+            }
+        }
+        assert_eq!(arrivals.len() as u64, sends, "jitter loses nothing");
+        assert!(
+            arrivals.windows(2).any(|w| w[1] < w[0]),
+            "a later send must overtake an earlier one: {arrivals:?}"
+        );
     }
 
     #[test]
     fn outage_swallows_uplink_reports() {
         let fm = FaultModel::perfect()
             .with_outage(OutageWindow::new(Time::from_secs(10), Time::from_secs(30)));
-        let mut cp = ControlPlane::new(fm, 1);
+        let (mut cp, trace) = counted(fm);
         assert!(!cp.in_outage(Time::from_secs(9)));
         assert!(cp.in_outage(Time::from_secs(10)));
         assert!(cp.in_outage(Time::from_secs(29)));
         assert!(!cp.in_outage(Time::from_secs(30)));
         cp.send_report(Time::from_secs(20), report(20_000));
         assert!(cp.recv_reports(Time::from_secs(20)).is_empty());
-        assert_eq!(cp.stats().lost_to_outage, 1);
+        assert_eq!(trace.snapshot().counter("control.lost_to_outage"), 1);
         // After the outage, fresh reports flow again.
         cp.send_report(Time::from_secs(30), report(30_000));
         assert_eq!(cp.recv_reports(Time::from_secs(30)).len(), 1);
@@ -439,24 +389,21 @@ mod tests {
             .with_drop_prob(0.3)
             .with_jitter(TimeDelta::from_millis(500));
         let run = |seed: u64| {
-            let mut cp = ControlPlane::new(fm.clone(), seed);
+            let trace = TraceHandle::registry_only();
+            let mut cp = ControlPlane::new(fm.clone(), seed).with_trace(trace.clone());
             for bai in 0..50u64 {
                 cp.send_assignments(Time::from_secs(bai * 10), vec![assignment(bai)]);
             }
             let got = cp.recv_assignments(Time::from_secs(1000));
-            (got.iter().map(|a| a.seq).collect::<Vec<_>>(), cp.stats())
+            let counters = trace.snapshot();
+            (
+                got.iter().map(|a| a.seq).collect::<Vec<_>>(),
+                counters.counter("control.dropped"),
+                counters.counter("control.delivered"),
+            )
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7).0, run(8).0, "different seeds see different faults");
-    }
-
-    #[test]
-    fn perfect_model_reports_itself() {
-        assert!(FaultModel::perfect().is_perfect());
-        assert!(!FaultModel::perfect().with_drop_prob(0.1).is_perfect());
-        assert!(!FaultModel::perfect()
-            .with_outage(OutageWindow::new(Time::ZERO, Time::from_secs(1)))
-            .is_perfect());
     }
 
     #[test]

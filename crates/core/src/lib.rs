@@ -17,8 +17,9 @@
 //!   mis-coordination of AVIS-style systems.
 //! * [`PcrfRegistry`] — the policy function's view of which flows exist,
 //!   giving the server the data-flow count `n`.
-//! * [`messages`] — the wire protocol between plugin and
-//!   server, carrying only privacy-preserving information.
+//! * [`messages`] — the server → plugin assignment message. The plugin's
+//!   hello is the anonymized [`ClientInfo`]; the statistics report is the
+//!   MAC layer's `IntervalReport`.
 //!
 //! # Example
 //!
@@ -62,7 +63,7 @@ pub use algorithm::{StabilityFilter, StabilityState};
 pub use client::{ClientInfo, ClientPrefs};
 pub use clock::{ManualClock, SolveClock, WallClock};
 pub use config::{FlareConfig, RobustnessConfig, SolveMode};
-pub use control::{ControlPlane, ControlPlaneStats, FaultModel, OutageWindow};
+pub use control::{ControlPlane, FaultModel, OutageWindow};
 pub use pcrf::PcrfRegistry;
 pub use plugin::{FlarePlugin, ResilientPlugin};
 pub use server::{Assignment, OneApiServer};

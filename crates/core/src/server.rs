@@ -3,7 +3,7 @@
 use std::time::Duration;
 
 use flare_has::Level;
-use flare_lte::{FlowClass, FlowId, IntervalReport, Itbs, LinkAdaptation};
+use flare_lte::{FlowClass, FlowId, FlowIntervalStats, IntervalReport, Itbs, LinkAdaptation};
 use flare_sim::units::Rate;
 use flare_sim::Time;
 use flare_solver::{round_down, solve_discrete, solve_relaxed, FlowSpec, ProblemSpec};
@@ -13,7 +13,7 @@ use crate::algorithm::{StabilityFilter, StabilityState};
 use crate::client::ClientInfo;
 use crate::clock::{SolveClock, WallClock};
 use crate::config::{FlareConfig, SolveMode};
-use crate::messages::{AssignmentMsg, StatsReportMsg};
+use crate::messages::AssignmentMsg;
 use crate::pcrf::PcrfRegistry;
 
 /// One BAI's decision for one video flow: the level the plugin must request
@@ -57,8 +57,6 @@ pub struct OneApiServer {
     last_solve_time: Option<Duration>,
     /// BAI sequence number stamped onto versioned assignments.
     seq: u64,
-    /// Clients evicted for prolonged statistics silence (telemetry).
-    evicted: u64,
     trace: TraceHandle,
 }
 
@@ -80,22 +78,17 @@ impl OneApiServer {
             clock,
             last_solve_time: None,
             seq: 0,
-            evicted: 0,
             trace: TraceHandle::disabled(),
         }
     }
 
     /// Attaches a trace recorder. Solver events ([`Category::Solver`])
     /// record each BAI solve round, per-client assignments (debug level),
-    /// and client evictions; solve wall time goes to the registry histogram
-    /// `solver.wall_ms` only, never into the event stream.
+    /// and client evictions (also counted as `server.evicted`); solve wall
+    /// time goes to the registry histogram `solver.wall_ms` only, never into
+    /// the event stream.
     pub fn set_trace(&mut self, trace: TraceHandle) {
         self.trace = trace;
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &FlareConfig {
-        &self.config
     }
 
     /// Registers a video client (the plugin's hello message). The client
@@ -116,30 +109,14 @@ impl OneApiServer {
         self.pcrf.register(flow, FlowClass::Data);
     }
 
-    /// The PCRF's flow registry.
-    pub fn pcrf(&self) -> &PcrfRegistry {
-        &self.pcrf
-    }
-
     /// Wall-clock time of the most recent solve (Figure 9's metric).
     pub fn last_solve_time(&self) -> Option<Duration> {
         self.last_solve_time
     }
 
-    /// The server's current BAI sequence number (the version stamped onto
-    /// the most recently emitted assignments).
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
     /// Number of registered video clients still being served.
     pub fn client_count(&self) -> usize {
         self.clients.len()
-    }
-
-    /// Clients evicted so far for prolonged statistics silence.
-    pub fn evicted_clients(&self) -> u64 {
-        self.evicted
     }
 
     /// The level currently applied to `flow`, if it is a registered client.
@@ -186,13 +163,9 @@ impl OneApiServer {
             .clients
             .iter()
             .map(|client| {
-                report.flow(client.info.flow()).map(|stats| {
-                    stats
-                        .bytes_per_rb()
-                        .map(|b| b * 8.0)
-                        .unwrap_or_else(|| la.bits_per_rb(stats.itbs))
-                        .max(1.0)
-                })
+                report
+                    .flow(client.info.flow())
+                    .map(|stats| Self::bits_per_rb(stats, la))
             })
             .collect();
 
@@ -206,41 +179,6 @@ impl OneApiServer {
                     rate: client.info.ladder().rate(level),
                 }
             })
-            .collect()
-    }
-
-    /// Message-path variant of [`OneApiServer::assign`] with the same
-    /// lossless-world semantics (clients missing from the report are
-    /// skipped, nothing ages, nobody is evicted) — the *naive* server of
-    /// the fault experiments. Emitted assignments are stamped with the
-    /// server's BAI sequence number and the report's end time.
-    pub fn assign_msg(
-        &mut self,
-        report: &StatsReportMsg,
-        la: &LinkAdaptation,
-        rbs_per_tti: u32,
-    ) -> Vec<AssignmentMsg> {
-        let duration_ms = report.duration_ms();
-        if duration_ms == 0 || self.clients.is_empty() {
-            return Vec::new();
-        }
-        self.seq += 1;
-        let seq = self.seq;
-        let bai_secs = duration_ms as f64 / 1000.0;
-        let total_rbs = f64::from(rbs_per_tti) * duration_ms as f64;
-        let obs: Vec<Option<f64>> = self
-            .clients
-            .iter()
-            .map(|client| {
-                report
-                    .flow(client.info.flow().index() as u32)
-                    .map(|s| Self::msg_bits_per_rb(s, la))
-            })
-            .collect();
-        let issued_ms = report.end_ms;
-        self.solve_clients(issued_ms, bai_secs, total_rbs, &obs)
-            .into_iter()
-            .map(|(ci, level)| self.assignment_msg(ci, level, seq, issued_ms))
             .collect()
     }
 
@@ -264,7 +202,7 @@ impl OneApiServer {
     pub fn bai_tick(
         &mut self,
         now: Time,
-        report: Option<&StatsReportMsg>,
+        report: Option<&IntervalReport>,
         la: &LinkAdaptation,
         rbs_per_tti: u32,
     ) -> Vec<AssignmentMsg> {
@@ -272,14 +210,13 @@ impl OneApiServer {
         self.seq += 1;
         let seq = self.seq;
         // An empty interval carries no usable counters.
-        let report = report.filter(|m| m.duration_ms() > 0);
+        let report = report.filter(|r| !r.duration().is_zero());
 
         // 1. Refresh or age each client's cached link efficiency.
         for client in &mut self.clients {
-            let flow_id = client.info.flow().index() as u32;
-            match report.and_then(|m| m.flow(flow_id)) {
+            match report.and_then(|r| r.flow(client.info.flow())) {
                 Some(stats) => {
-                    client.cached_bits_per_rb = Some(Self::msg_bits_per_rb(stats, la));
+                    client.cached_bits_per_rb = Some(Self::bits_per_rb(stats, la));
                     client.silent_bais = 0;
                 }
                 None => {
@@ -306,7 +243,6 @@ impl OneApiServer {
                     e.u64("flow", flow.index() as u64);
                 });
             }
-            self.evicted += evicted.len() as u64;
             self.trace.incr("server.evicted", evicted.len() as u64);
         }
         if self.clients.is_empty() {
@@ -316,7 +252,7 @@ impl OneApiServer {
         // 3. Solve over cached observations; a client never observed at all
         // is assumed to sit at the worst link-adaptation operating point.
         let bai_ms = report
-            .map(StatsReportMsg::duration_ms)
+            .map(|r| r.duration().as_millis())
             .unwrap_or_else(|| self.config.bai.as_millis());
         let bai_secs = bai_ms as f64 / 1000.0;
         let total_rbs = f64::from(rbs_per_tti) * bai_ms as f64;
@@ -333,14 +269,15 @@ impl OneApiServer {
             .collect()
     }
 
-    /// Link efficiency (bits/RB) from one flow's wire-format counters.
-    fn msg_bits_per_rb(stats: &crate::messages::FlowStatsMsg, la: &LinkAdaptation) -> f64 {
-        let from_counters = if stats.rbs > 0 {
-            (stats.bytes as f64 / stats.rbs as f64) * 8.0
-        } else {
-            la.bits_per_rb(Itbs::new(stats.itbs))
-        };
-        from_counters.max(1.0)
+    /// Link efficiency (bits/RB) from one flow's `(n_u, b_u)` counters; a
+    /// flow given no RBs falls back to the link-adaptation table at its
+    /// reported iTbs.
+    fn bits_per_rb(stats: &FlowIntervalStats, la: &LinkAdaptation) -> f64 {
+        stats
+            .bytes_per_rb()
+            .map(|b| b * 8.0)
+            .unwrap_or_else(|| la.bits_per_rb(stats.itbs))
+            .max(1.0)
     }
 
     fn assignment_msg(&self, ci: usize, level: Level, seq: u64, issued_ms: u64) -> AssignmentMsg {
@@ -604,6 +541,7 @@ mod tests {
         let mut server = OneApiServer::new(FlareConfig::default().with_delta(0));
         let prefs = ClientPrefs {
             max_rate: Some(Rate::from_kbps(800.0)),
+            min_level: Some(Level::new(1)),
             ..ClientPrefs::default()
         };
         server
@@ -614,6 +552,12 @@ mod tests {
             assert!(
                 assignments[0].rate <= Rate::from_kbps(800.0),
                 "cap violated: {:?}",
+                assignments[0]
+            );
+            // The disclosed floor binds alongside the cap.
+            assert!(
+                assignments[0].level >= Level::new(1),
+                "{:?}",
                 assignments[0]
             );
             enb.push_backlog(videos[0], flare_sim::units::ByteCount::new(50_000_000));
@@ -751,8 +695,8 @@ mod tests {
     /// admit increases.
     const BAIS: usize = 8;
 
-    use crate::messages::StatsReportMsg;
     use crate::RobustnessConfig;
+    use flare_trace::TraceHandle;
 
     fn servers(videos: &[FlowId]) -> (OneApiServer, OneApiServer) {
         let mk = || {
@@ -767,6 +711,19 @@ mod tests {
         (mk(), mk())
     }
 
+    /// `report` cut down to one flow's counters.
+    fn only_flow(report: &IntervalReport, flow: FlowId) -> IntervalReport {
+        IntervalReport {
+            flows: report
+                .flows
+                .iter()
+                .filter(|f| f.flow == flow)
+                .copied()
+                .collect(),
+            ..report.clone()
+        }
+    }
+
     #[test]
     fn bai_tick_matches_assign_when_reports_are_fresh() {
         // With every client present in every report, the robust path must
@@ -777,8 +734,7 @@ mod tests {
             let report = run_bai(&mut enb, bai);
             let la = enb.link_adaptation().clone();
             let legacy = lossless.assign(&report, &la, 50);
-            let msg = StatsReportMsg::from(&report);
-            let ticked = robust.bai_tick(report.end, Some(&msg), &la, 50);
+            let ticked = robust.bai_tick(report.end, Some(&report), &la, 50);
             assert_eq!(legacy.len(), ticked.len());
             for (a, m) in legacy.iter().zip(&ticked) {
                 assert_eq!(a.flow.index() as u32, m.flow_id);
@@ -795,15 +751,14 @@ mod tests {
         let (mut enb, videos, _) = cell(1, 0, 10);
         let (_, mut server) = servers(&videos);
         let report = run_bai(&mut enb, 0);
-        let msg = StatsReportMsg::from(&report);
         let la = enb.link_adaptation().clone();
-        let first = server.bai_tick(Time::from_secs(10), Some(&msg), &la, 50);
+        let first = server.bai_tick(Time::from_secs(10), Some(&report), &la, 50);
         let second = server.bai_tick(Time::from_secs(20), None, &la, 50);
         assert_eq!(first[0].seq, 1);
         assert_eq!(second[0].seq, 2);
         assert_eq!(first[0].issued_ms, 10_000);
         assert_eq!(second[0].issued_ms, 20_000);
-        assert_eq!(server.seq(), 2);
+        assert_eq!(server.seq, 2);
     }
 
     #[test]
@@ -811,24 +766,18 @@ mod tests {
         let (mut enb, videos, _) = cell(2, 0, 10);
         let r = RobustnessConfig::default();
         let mut server = OneApiServer::new(FlareConfig::default().with_robustness(r));
+        let trace = TraceHandle::registry_only();
+        server.set_trace(trace.clone());
         for &v in &videos {
             server.register_video(ClientInfo::new(v, BitrateLadder::testbed()));
         }
-        let full = StatsReportMsg::from(&run_bai(&mut enb, 0));
+        let full = run_bai(&mut enb, 0);
         let la = enb.link_adaptation().clone();
         let msgs = server.bai_tick(Time::from_secs(10), Some(&full), &la, 50);
         assert_eq!(msgs.len(), 2);
 
         // From here on, flow 1 goes silent: reports only cover flow 0.
-        let partial = StatsReportMsg {
-            flows: full
-                .flows
-                .iter()
-                .filter(|f| f.flow_id == 0)
-                .copied()
-                .collect(),
-            ..full.clone()
-        };
+        let partial = only_flow(&full, videos[0]);
         let mut now = Time::from_secs(10);
         for i in 1..r.evict_bais {
             now += flare_sim::TimeDelta::from_secs(10);
@@ -845,9 +794,9 @@ mod tests {
         assert_eq!(msgs.len(), 1, "evicted client no longer assigned");
         assert_eq!(msgs[0].flow_id, 0);
         assert_eq!(server.client_count(), 1);
-        assert_eq!(server.evicted_clients(), 1);
+        assert_eq!(trace.snapshot().counter("server.evicted"), 1);
         // The PCRF forgot the flow too (it is not a data flow now either).
-        assert_eq!(server.pcrf().data_flow_count(), 0);
+        assert_eq!(server.pcrf.data_flow_count(), 0);
     }
 
     #[test]
@@ -856,26 +805,19 @@ mod tests {
         // other keeps reporting; aging shrinks the silent client's weight
         // so its level must never rise while silent.
         let (mut enb, videos, _) = cell(2, 0, 12);
-        let mut server = OneApiServer::new(
-            FlareConfig::default()
-                .with_delta(0)
-                .with_robustness(RobustnessConfig::default().with_evict_bais(100)),
-        );
+        let mut server = OneApiServer::new(FlareConfig::default().with_delta(0).with_robustness(
+            RobustnessConfig {
+                evict_bais: 100,
+                ..RobustnessConfig::default()
+            },
+        ));
         for &v in &videos {
             server.register_video(ClientInfo::new(v, BitrateLadder::testbed()));
         }
         let la = enb.link_adaptation().clone();
-        let full = StatsReportMsg::from(&run_bai(&mut enb, 0));
+        let full = run_bai(&mut enb, 0);
         server.bai_tick(Time::from_secs(10), Some(&full), &la, 50);
-        let partial = StatsReportMsg {
-            flows: full
-                .flows
-                .iter()
-                .filter(|f| f.flow_id == 0)
-                .copied()
-                .collect(),
-            ..full.clone()
-        };
+        let partial = only_flow(&full, videos[0]);
         let mut silent_levels = Vec::new();
         for bai in 2..14u64 {
             let msgs = server.bai_tick(Time::from_secs(bai * 10), Some(&partial), &la, 50);

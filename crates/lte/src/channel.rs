@@ -10,13 +10,8 @@
 //! * **Trace** — the ns-3 experiments use a "trace based model"; traces are
 //!   replayed by [`TraceChannel`] and generated from the mobility model in
 //!   [`crate::mobility`].
-//!
-//! [`MarkovChannel`] adds a discrete Gilbert-Elliott-style fading process as
-//! an extension for robustness experiments.
 
 use flare_sim::{Time, TimeDelta, TTI};
-use rand::rngs::SmallRng;
-use rand::Rng;
 
 use crate::tbs::{Itbs, ITBS_MAX};
 
@@ -305,75 +300,6 @@ impl ChannelModel for TraceChannel {
     }
 }
 
-/// A bounded random-walk fading process (Gilbert-Elliott flavoured).
-///
-/// Every `step` interval the index moves −1, 0, or +1 with probability
-/// `p_move / 2`, `1 − p_move`, `p_move / 2`, clamped to `[min, max]`. Used by
-/// robustness/ablation experiments; not part of the paper's scenarios.
-#[derive(Debug)]
-pub struct MarkovChannel {
-    min: u8,
-    max: u8,
-    current: u8,
-    step: TimeDelta,
-    p_move: f64,
-    next_update: Time,
-    rng: SmallRng,
-}
-
-impl MarkovChannel {
-    /// Creates a random-walk channel starting at `start`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bounds are invalid, `start` is outside them, `step` is
-    /// zero, or `p_move` is not a probability.
-    pub fn new(
-        min: Itbs,
-        max: Itbs,
-        start: Itbs,
-        step: TimeDelta,
-        p_move: f64,
-        rng: SmallRng,
-    ) -> Self {
-        assert!(min <= max, "markov channel requires min <= max");
-        assert!(start >= min && start <= max, "start must lie within bounds");
-        assert!(!step.is_zero(), "update step must be non-zero");
-        assert!(
-            (0.0..=1.0).contains(&p_move),
-            "p_move must be a probability"
-        );
-        MarkovChannel {
-            min: min.index(),
-            max: max.index(),
-            current: start.index(),
-            step,
-            p_move,
-            next_update: Time::ZERO + step,
-            rng,
-        }
-    }
-}
-
-impl ChannelModel for MarkovChannel {
-    fn itbs_at(&mut self, t: Time) -> Itbs {
-        while self.next_update <= t {
-            let u: f64 = self.rng.gen();
-            if u < self.p_move / 2.0 {
-                self.current = self.current.saturating_sub(1).max(self.min);
-            } else if u < self.p_move {
-                self.current = (self.current + 1).min(self.max).min(ITBS_MAX);
-            }
-            self.next_update += self.step;
-        }
-        Itbs::new(self.current)
-    }
-
-    fn valid_until(&self, _t: Time) -> Time {
-        self.next_update
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -534,28 +460,6 @@ mod tests {
     }
 
     #[test]
-    fn markov_stays_in_bounds_and_reproduces() {
-        let mk = |seed| {
-            MarkovChannel::new(
-                Itbs::new(3),
-                Itbs::new(15),
-                Itbs::new(9),
-                TimeDelta::from_millis(100),
-                0.5,
-                stream(seed, "markov", 0),
-            )
-        };
-        let mut a = mk(1);
-        let mut b = mk(1);
-        for s in 0..200 {
-            let t = Time::from_millis(s * 137);
-            let va = a.itbs_at(t);
-            assert_eq!(va, b.itbs_at(t), "same seed must reproduce");
-            assert!(va >= Itbs::new(3) && va <= Itbs::new(15));
-        }
-    }
-
-    #[test]
     fn valid_until_follows_each_model() {
         let mut st = StaticChannel::new(Itbs::new(4));
         st.itbs_at(Time::from_secs(3));
@@ -598,14 +502,6 @@ mod tests {
                 TimeDelta::from_millis(CONTRACT_HORIZON_MS),
                 stream(seed, "walk", 0),
                 stream(seed, "fade", 0),
-            )),
-            Box::new(MarkovChannel::new(
-                Itbs::new(3),
-                Itbs::new(15),
-                Itbs::new(9),
-                TimeDelta::from_millis(1 + seed % 300),
-                0.5,
-                stream(seed, "markov", 0),
             )),
             Box::new(MobilityChannel::new(
                 mobility,

@@ -86,7 +86,6 @@ pub struct ENodeB {
     flows: Vec<FlowState>,
     report_start: Time,
     now: Time,
-    expired_leases: u64,
     /// A lower bound on the earliest open lease's expiry (`Time::MAX` when
     /// none has been granted since the last scan). The expiry scan runs
     /// only once a TTI reaches it, and sets it to the exact earliest expiry
@@ -147,7 +146,6 @@ impl ENodeB {
             flows: Vec::new(),
             report_start: Time::ZERO,
             now: Time::ZERO,
-            expired_leases: 0,
             lease_due: Time::MAX,
             last_tti_granted: 0,
             reported_grant_inflation: 0,
@@ -282,11 +280,6 @@ impl ENodeB {
         self.flows[flow.index()].gbr_expires
     }
 
-    /// GBR leases that expired without renewal since the cell was created.
-    pub fn expired_lease_count(&self) -> u64 {
-        self.expired_leases
-    }
-
     /// Sets or clears a flow's maximum bit rate (AVIS-style cap).
     ///
     /// # Panics
@@ -391,7 +384,6 @@ impl ENodeB {
                         st.gbr_expires = None;
                         st.qos.gbr = None;
                         st.gbr_bucket = None;
-                        self.expired_leases += 1;
                         self.tti_expired.push(i as u64);
                     }
                     Some(expires_at) => next_due = next_due.min(expires_at),
@@ -626,6 +618,19 @@ mod tests {
 
     fn cell(scheduler: Box<dyn MacScheduler>) -> ENodeB {
         ENodeB::new(CellConfig::default(), scheduler)
+    }
+
+    /// A two-phase GBR cell counting into a registry-only trace, for the
+    /// lease tests.
+    fn gbr_cell() -> ENodeB {
+        let mut enb = cell(Box::new(TwoPhaseGbr::default()));
+        enb.set_trace(TraceHandle::registry_only());
+        enb
+    }
+
+    /// GBR leases that expired unrenewed so far (`enforce.lease_expiries`).
+    fn lease_expiries(enb: &ENodeB) -> u64 {
+        enb.trace.snapshot().counter("enforce.lease_expiries")
     }
 
     fn run_ttis(enb: &mut ENodeB, start_ms: u64, n: u64) -> Vec<Vec<Delivered>> {
@@ -867,7 +872,7 @@ mod tests {
 
     #[test]
     fn gbr_lease_expires_without_renewal() {
-        let mut enb = cell(Box::new(TwoPhaseGbr::default()));
+        let mut enb = gbr_cell();
         let f = enb.add_flow(FlowClass::Video, Box::new(StaticChannel::new(Itbs::new(5))));
         enb.set_gbr_lease(f, Rate::from_kbps(500.0), Time::from_millis(100));
         assert_eq!(enb.qos(f).gbr, Some(Rate::from_kbps(500.0)));
@@ -877,12 +882,12 @@ mod tests {
         enb.step_tti(Time::from_millis(100));
         assert_eq!(enb.qos(f).gbr, None);
         assert_eq!(enb.lease_expiry(f), None);
-        assert_eq!(enb.expired_lease_count(), 1);
+        assert_eq!(lease_expiries(&enb), 1);
     }
 
     #[test]
     fn renewed_lease_does_not_expire() {
-        let mut enb = cell(Box::new(TwoPhaseGbr::default()));
+        let mut enb = gbr_cell();
         let f = enb.add_flow(FlowClass::Video, Box::new(StaticChannel::new(Itbs::new(5))));
         enb.set_gbr_lease(f, Rate::from_kbps(500.0), Time::from_millis(100));
         run_ttis(&mut enb, 0, 50);
@@ -890,12 +895,12 @@ mod tests {
         enb.set_gbr_lease(f, Rate::from_kbps(790.0), Time::from_millis(200));
         run_ttis(&mut enb, 50, 100);
         assert_eq!(enb.qos(f).gbr, Some(Rate::from_kbps(790.0)));
-        assert_eq!(enb.expired_lease_count(), 0);
+        assert_eq!(lease_expiries(&enb), 0);
     }
 
     #[test]
     fn plain_set_gbr_cancels_lease() {
-        let mut enb = cell(Box::new(TwoPhaseGbr::default()));
+        let mut enb = gbr_cell();
         let f = enb.add_flow(FlowClass::Video, Box::new(StaticChannel::new(Itbs::new(5))));
         enb.set_gbr_lease(f, Rate::from_kbps(500.0), Time::from_millis(100));
         enb.set_gbr(f, Some(Rate::from_kbps(500.0)));
@@ -903,7 +908,7 @@ mod tests {
         run_ttis(&mut enb, 0, 200);
         // Persistent GBR outlives the would-be lease deadline.
         assert_eq!(enb.qos(f).gbr, Some(Rate::from_kbps(500.0)));
-        assert_eq!(enb.expired_lease_count(), 0);
+        assert_eq!(lease_expiries(&enb), 0);
     }
 
     #[test]
@@ -911,7 +916,7 @@ mod tests {
         // A leased video flow and a greedy data flow: while the lease is
         // live the video's GBR is honoured; after expiry the data flow's
         // share grows because nothing is reserved any more.
-        let mut enb = cell(Box::new(TwoPhaseGbr::default()));
+        let mut enb = gbr_cell();
         let video = enb.add_flow(FlowClass::Video, Box::new(StaticChannel::new(Itbs::new(8))));
         let data = enb.add_flow(FlowClass::Data, Box::new(StaticChannel::new(Itbs::new(8))));
         enb.set_gbr_lease(video, Rate::from_kbps(1500.0), Time::from_secs(5));
@@ -920,7 +925,7 @@ mod tests {
         let leased = enb.take_report(Time::from_secs(5));
         run_ttis(&mut enb, 5_000, 5_000);
         let expired = enb.take_report(Time::from_secs(10));
-        assert_eq!(enb.expired_lease_count(), 1);
+        assert_eq!(lease_expiries(&enb), 1);
         let d_before = leased.flow(data).unwrap().rbs;
         let d_after = expired.flow(data).unwrap().rbs;
         assert!(
@@ -960,7 +965,7 @@ mod tests {
         enb.step_tti(Time::from_millis(1_000));
         assert_eq!(enb.qos(f).gbr, None);
         assert_eq!(enb.lease_expiry(f), None);
-        assert_eq!(enb.expired_lease_count(), 1);
+        assert_eq!(lease_expiries(&enb), 1);
         assert_eq!(expiry_times(&trace), vec![1_000]);
     }
 
@@ -975,10 +980,10 @@ mod tests {
         run_ttis(&mut enb, 600, 900);
         assert!(enb.quiescent);
         assert_eq!(enb.qos(f).gbr, Some(Rate::from_kbps(790.0)));
-        assert_eq!(enb.expired_lease_count(), 0);
+        assert_eq!(lease_expiries(&enb), 0);
         enb.step_tti(Time::from_millis(1_500));
         assert_eq!(enb.qos(f).gbr, None);
-        assert_eq!(enb.expired_lease_count(), 1);
+        assert_eq!(lease_expiries(&enb), 1);
         assert_eq!(expiry_times(&trace), vec![1_500]);
     }
 
@@ -997,7 +1002,7 @@ mod tests {
         assert!(enb.quiescent);
         assert_eq!(enb.qos(kept).gbr, Some(Rate::from_kbps(500.0)));
         assert_eq!(enb.qos(cleared).gbr, None);
-        assert_eq!(enb.expired_lease_count(), 0);
+        assert_eq!(lease_expiries(&enb), 0);
         assert!(expiry_times(&trace).is_empty());
     }
 

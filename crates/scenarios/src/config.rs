@@ -394,7 +394,7 @@ mod tests {
 
     #[test]
     fn faults_knob_defaults_off() {
-        assert!(SimConfig::builder().build().faults.is_perfect());
+        assert_eq!(SimConfig::builder().build().faults, FaultModel::perfect());
         let c = SimConfig::builder()
             .faults(FaultModel::perfect().with_drop_prob(0.2))
             .build();

@@ -41,7 +41,7 @@ pub struct FaultRow {
     /// Mean fraction of client-BAIs spent in fallback mode (0 for schemes
     /// without a fallback policy).
     pub fallback_fraction: f64,
-    /// Mean stale/reordered assignments rejected per run.
+    /// Mean stale (overtaken or repeated) assignments rejected per run.
     pub stale_rejections: f64,
     /// Mean control-plane messages dropped or lost to outages per run.
     pub lost_messages: f64,

@@ -65,11 +65,10 @@ pub struct RobustnessReport {
     pub dropped: u64,
     /// Uplink reports lost to server outage windows.
     pub lost_to_outage: u64,
-    /// Messages held back by the reordering process.
-    pub reordered: u64,
     /// Client-BAIs spent in fallback mode (summed over clients).
     pub fallback_bais: u64,
-    /// Assignments rejected as stale/reordered (summed over clients).
+    /// Assignments rejected as stale: overtaken or repeated (summed over
+    /// clients).
     pub stale_rejections: u64,
     /// Assignments installed by clients (summed over clients).
     pub installs: u64,
@@ -599,9 +598,9 @@ impl CellStepper {
                 }
             }
 
-            // 4. Control-plane deliveries (delayed/reordered messages land
-            // between BAIs), then — at a boundary — hand control back to
-            // the caller so a coordinator can run the barrier step.
+            // 4. Control-plane deliveries (jittered messages land between
+            // BAIs), then — at a boundary — hand control back to the
+            // caller so a coordinator can run the barrier step.
             self.sim.poll_control(tti_end);
             self.bai_countdown -= 1;
             if self.bai_countdown == 0 {
@@ -679,7 +678,6 @@ impl CellStepper {
                 delivered: telemetry.counter("control.delivered"),
                 dropped: telemetry.counter("control.dropped"),
                 lost_to_outage: telemetry.counter("control.lost_to_outage"),
-                reordered: telemetry.counter("control.reordered"),
                 fallback_bais: telemetry.counter("plugin.fallback_bais"),
                 stale_rejections: telemetry.counter("plugin.stale_rejections"),
                 installs: telemetry.counter("plugin.installs"),
@@ -909,10 +907,7 @@ mod tests {
         cfg.trace = trace.clone();
         let result = CellSim::new(cfg).run();
         let r = result.robustness.expect("FLARE reports control telemetry");
-        assert_eq!(
-            (r.dropped, r.lost_to_outage, r.reordered, r.fallback_bais),
-            (0, 0, 0, 0)
-        );
+        assert_eq!((r.dropped, r.lost_to_outage, r.fallback_bais), (0, 0, 0));
         let sent = |link: &str| {
             trace
                 .events()
@@ -985,9 +980,9 @@ mod tests {
 
     #[test]
     fn every_scheme_runs_clean_under_invariants() {
-        // The standard invariant battery (RB conservation, lease return,
-        // (4a)/(4b), player sanity, monotone installs) hard-fails, so simply
-        // finishing these runs is the assertion.
+        // The invariant battery (RB conservation, lease return, (4a)/(4b),
+        // player sanity, monotone installs) panics the run on a violation,
+        // so simply finishing these runs is the assertion.
         for scheme in [
             SchemeKind::Festive,
             SchemeKind::Google,
@@ -1004,7 +999,7 @@ mod tests {
     #[test]
     fn faulty_resilient_run_is_clean_under_invariants() {
         // The message path exercises the install and lease-return checks:
-        // drops and reordering must produce stale *rejections*, never an
+        // drops and jitter must produce stale *rejections*, never an
         // out-of-order install or a leaked lease.
         let cfg = faulty_resilient(150).check_invariants(true).build();
         let result = CellSim::new(cfg).run();
@@ -1037,7 +1032,7 @@ mod tests {
         let mut sim = CellSim::new(cfg);
         sim.debug_enb_mut().debug_inflate_reported_grants(51);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()));
-        assert!(outcome.is_err(), "hard-fail mode must panic");
+        assert!(outcome.is_err(), "a violation must panic the run");
         let recorded = trace.events().into_iter().any(|e| {
             e.category == Category::Invariant
                 && e.name == "violation"

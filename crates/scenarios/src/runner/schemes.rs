@@ -13,14 +13,14 @@ use std::time::Duration;
 
 use flare_abr::avis::AvisAllocator;
 use flare_abr::{Festive, Google, RateBased, SharedAssignment, VersionedAssignment};
-use flare_core::messages::StatsReportMsg;
+use flare_core::messages::AssignmentMsg;
 use flare_core::{
     ClientInfo, ControlPlane, FlareConfig, FlarePlugin, OneApiServer, ResilientPlugin,
     RobustnessConfig,
 };
 use flare_harness::Observation;
 use flare_has::{Level, RateAdapter};
-use flare_lte::{FlowId, Itbs, LinkAdaptation};
+use flare_lte::{FlowId, IntervalReport, LinkAdaptation};
 use flare_sim::units::Rate;
 use flare_sim::{Time, TimeDelta};
 use flare_trace::{Category, TraceHandle};
@@ -81,7 +81,7 @@ pub(super) enum Controller {
         cells: MsgCells,
         /// Freshest statistics report delivered to the server so far and
         /// not yet consumed by a solve.
-        latest_report: Option<StatsReportMsg>,
+        latest_report: Option<IntervalReport>,
     },
     Avis(AvisAllocator),
 }
@@ -95,12 +95,12 @@ pub(super) enum Controller {
 fn rate_budget(
     config: &SimConfig,
     server: &OneApiServer,
-    report: &StatsReportMsg,
+    report: &IntervalReport,
     la: &LinkAdaptation,
     rbs_per_tti: u32,
     assigned: impl IntoIterator<Item = (FlowId, Level)>,
 ) -> Option<Observation> {
-    let bai_ms = report.duration_ms();
+    let bai_ms = report.duration().as_millis();
     let bai_secs = bai_ms as f64 / 1000.0;
     let total_rbs = f64::from(rbs_per_tti) * bai_ms as f64;
     let mut any = false;
@@ -108,15 +108,14 @@ fn rate_budget(
     let mut floor_used = 0.0;
     for (flow, level) in assigned {
         any = true;
-        let Some(stats) = report.flow(flow.index() as u32) else {
+        let Some(stats) = report.flow(flow) else {
             continue;
         };
-        let bits_per_rb = if stats.rbs > 0 {
-            stats.bytes as f64 / stats.rbs as f64 * 8.0
-        } else {
-            la.bits_per_rb(Itbs::new(stats.itbs))
-        }
-        .max(1.0);
+        let bits_per_rb = stats
+            .bytes_per_rb()
+            .map(|b| b * 8.0)
+            .unwrap_or_else(|| la.bits_per_rb(stats.itbs))
+            .max(1.0);
         let weight = bai_secs / bits_per_rb;
         let floor = server
             .min_allowed_level(flow)
@@ -202,11 +201,11 @@ pub(super) fn build_controller(
 }
 
 /// Moves every statistics report due by `now` into `latest`, keeping only
-/// the freshest interval: a reordered old report must not overwrite newer
-/// counters.
-fn take_fresh_reports(control: &mut ControlPlane, now: Time, latest: &mut Option<StatsReportMsg>) {
+/// the freshest interval: an old report overtaken in flight must not
+/// overwrite newer counters.
+fn take_fresh_reports(control: &mut ControlPlane, now: Time, latest: &mut Option<IntervalReport>) {
     for r in control.recv_reports(now) {
-        if latest.as_ref().is_none_or(|cur| r.end_ms >= cur.end_ms) {
+        if latest.as_ref().is_none_or(|cur| r.end >= cur.end) {
             *latest = Some(r);
         }
     }
@@ -313,7 +312,7 @@ impl CellSim {
             } => {
                 // eNodeB -> server: this BAI's statistics, via the (possibly
                 // faulty) control plane.
-                control.send_report(now, StatsReportMsg::from(&report));
+                control.send_report(now, report);
                 take_fresh_reports(control, now, latest_report);
                 // Server side: during an outage window the server is down
                 // and issues nothing; clients notice via staleness.
@@ -333,10 +332,13 @@ impl CellSim {
                     let msgs = if let MsgCells::Versioned(..) = cells {
                         server.bai_tick(now, solved_on.as_ref(), la, rbs)
                     } else {
-                        match &solved_on {
-                            Some(r) => server.assign_msg(r, la, rbs),
-                            None => Vec::new(),
-                        }
+                        solved_on.as_ref().map_or_else(Vec::new, |r| {
+                            server
+                                .assign(r, la, rbs)
+                                .iter()
+                                .map(AssignmentMsg::from)
+                                .collect()
+                        })
                     };
                     if let Some(inv) = self.invariants.as_mut() {
                         let mut assigned = Vec::with_capacity(msgs.len());
@@ -366,7 +368,7 @@ impl CellSim {
                         // on aged observations or skipped clients.
                         if let Some(r) = solved_on.as_ref().filter(|r| {
                             assigned.len() == server.client_count()
-                                && msgs.iter().all(|m| r.flow(m.flow_id).is_some())
+                                && assigned.iter().all(|&(f, _)| r.flow(f).is_some())
                         }) {
                             if let Some(o) = rate_budget(&self.config, server, r, la, rbs, assigned)
                             {
@@ -391,5 +393,38 @@ impl CellSim {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use flare_core::FaultModel;
+
+    fn report(end_s: u64) -> IntervalReport {
+        IntervalReport {
+            start: Time::from_secs(end_s - 10),
+            end: Time::from_secs(end_s),
+            flows: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn an_older_report_landing_late_does_not_replace_a_newer_one() {
+        let mut control = ControlPlane::new(FaultModel::perfect(), 1);
+        let mut latest = None;
+        // Within one delivery batch: the newer interval lands first.
+        control.send_report(Time::from_secs(20), report(20));
+        control.send_report(Time::from_secs(20), report(10));
+        take_fresh_reports(&mut control, Time::from_secs(20), &mut latest);
+        assert_eq!(latest.as_ref().map(|r| r.end), Some(Time::from_secs(20)));
+        // In a later batch: the held report is still the freshest.
+        control.send_report(Time::from_secs(25), report(15));
+        take_fresh_reports(&mut control, Time::from_secs(25), &mut latest);
+        assert_eq!(latest.as_ref().map(|r| r.end), Some(Time::from_secs(20)));
+        // A newer interval (or a repeat of the same one) does replace it.
+        control.send_report(Time::from_secs(30), report(30));
+        take_fresh_reports(&mut control, Time::from_secs(30), &mut latest);
+        assert_eq!(latest.map(|r| r.end), Some(Time::from_secs(30)));
     }
 }

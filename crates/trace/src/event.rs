@@ -15,7 +15,7 @@ pub enum Category {
     Mac,
     /// OneAPI server: BAI solve rounds, per-flow assignments, evictions.
     Solver,
-    /// Control plane: message lifecycle (sent/dropped/delayed/reordered/lost).
+    /// Control plane: message lifecycle (sent/dropped/lost to an outage).
     Control,
     /// Client plugin: assignment installs, stale rejections, fallback mode.
     Plugin,

@@ -290,9 +290,10 @@ fn server_outage_forces_fallback_and_expires_gbr_leases() {
 
 #[test]
 fn reordered_assignments_are_rejected_not_rolled_back() {
-    // Half of all messages are held back 15 s — past the next BAI — so
+    // Every message is delayed by up to 25 s — more than two BAIs — so
     // newer assignments regularly overtake older ones. The versioned cell
     // must reject the late arrivals instead of rolling clients back.
+    let trace = TraceHandle::new(TraceConfig::info());
     let config = SimConfig::builder()
         .seed(9)
         .duration(TimeDelta::from_secs(300))
@@ -300,18 +301,11 @@ fn reordered_assignments_are_rejected_not_rolled_back() {
         .scheme(SchemeKind::Flare(
             FlareConfig::default().with_robustness(RobustnessConfig::default()),
         ))
-        .faults(
-            FaultModel::perfect()
-                .with_reorder_prob(0.5)
-                .with_reorder_delay(TimeDelta::from_secs(15)),
-        )
+        .faults(FaultModel::perfect().with_jitter(TimeDelta::from_secs(25)))
+        .trace(trace.clone())
         .build();
     let r = CellSim::new(config).run();
     let rb = r.robustness.expect("FLARE-R must report telemetry");
-    assert!(
-        rb.reordered > 0,
-        "the fault model must reorder messages: {rb:?}"
-    );
     assert!(
         rb.stale_rejections > 0,
         "overtaken assignments must be rejected as stale: {rb:?}"
@@ -320,6 +314,29 @@ fn reordered_assignments_are_rejected_not_rolled_back() {
         rb.installs > 0,
         "in-order assignments still install: {rb:?}"
     );
+    assert_eq!(
+        trace.dropped_events(),
+        0,
+        "the trace must hold every install"
+    );
+    let mut last_seq = [0u64; 4];
+    let mut installs = 0;
+    for e in trace.events() {
+        if e.category != Category::Plugin || e.name != "install" {
+            continue;
+        }
+        installs += 1;
+        let ue = e.u64_field("ue").unwrap() as usize;
+        let seq = e.u64_field("assign_seq").unwrap();
+        assert!(
+            seq > last_seq[ue],
+            "UE {ue} installed seq {seq} after seq {} at {} ms",
+            last_seq[ue],
+            e.time_ms
+        );
+        last_seq[ue] = seq;
+    }
+    assert_eq!(installs, rb.installs);
     for v in &r.videos {
         assert!(v.stats.average_rate.as_kbps() > 0.0);
     }
