@@ -21,37 +21,6 @@ use flare_lte::{FlowClass, FlowId, IntervalReport, LinkAdaptation};
 use flare_sim::units::Rate;
 use flare_sim::TimeDelta;
 
-/// AVIS allocator parameters (Table IV: `α = 0.01`, `W = 150`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct AvisConfig {
-    /// Demand-smoothing EWMA weight per `w_ms` of observation.
-    pub alpha: f64,
-    /// The native measurement epoch the EWMA constant refers to, in ms.
-    pub w_ms: f64,
-    /// Largest fraction of the cell the video partition may occupy.
-    pub partition_cap: f64,
-    /// Multiplicative headroom granted above smoothed demand, letting capped
-    /// flows probe for more capacity.
-    pub probe_gain: f64,
-    /// MBR is set this factor above the GBR.
-    pub mbr_headroom: f64,
-    /// Initial per-flow demand before any observation.
-    pub initial_demand: Rate,
-}
-
-impl Default for AvisConfig {
-    fn default() -> Self {
-        AvisConfig {
-            alpha: 0.01,
-            w_ms: 150.0,
-            partition_cap: 0.8,
-            probe_gain: 1.25,
-            mbr_headroom: 1.1,
-            initial_demand: Rate::from_kbps(400.0),
-        }
-    }
-}
-
 /// One flow's caps for the next BAI.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AvisAssignment {
@@ -63,41 +32,34 @@ pub struct AvisAssignment {
     pub mbr: Rate,
 }
 
-/// The AVIS cell allocator.
-#[derive(Debug, Clone)]
+/// The AVIS cell allocator, with the paper's Table IV parameters.
+#[derive(Debug, Clone, Default)]
 pub struct AvisAllocator {
-    config: AvisConfig,
     /// Smoothed demand per flow index (bps).
     demand: Vec<f64>,
 }
 
 impl AvisAllocator {
-    /// Creates an allocator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the config's fractions are out of range.
-    pub fn new(config: AvisConfig) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&config.partition_cap),
-            "partition cap must be a fraction"
-        );
-        assert!(
-            config.alpha > 0.0 && config.alpha <= 1.0,
-            "alpha must be in (0, 1]"
-        );
-        assert!(config.probe_gain >= 1.0, "probe gain must be >= 1");
-        assert!(config.mbr_headroom >= 1.0, "MBR headroom must be >= 1");
-        AvisAllocator {
-            config,
-            demand: Vec::new(),
-        }
-    }
+    /// Demand-smoothing EWMA weight per [`Self::W_MS`] of observation
+    /// (Table IV: `α = 0.01`).
+    const ALPHA: f64 = 0.01;
+    /// The native measurement epoch the EWMA constant refers to, in ms
+    /// (Table IV: `W = 150`).
+    const W_MS: f64 = 150.0;
+    /// Largest fraction of the cell the static video partition may occupy.
+    const PARTITION_CAP: f64 = 0.8;
+    /// Multiplicative headroom granted above smoothed demand, letting capped
+    /// flows probe for more capacity (DESIGN.md §6, item 5: 25%).
+    const PROBE_GAIN: f64 = 1.25;
+    /// MBR is set this factor above the GBR.
+    const MBR_HEADROOM: f64 = 1.1;
+    /// Initial per-flow demand before any observation, in bps (400 kbps).
+    const INITIAL_DEMAND_BPS: f64 = 400_000.0;
 
     fn ensure(&mut self, flow: FlowId) {
         if flow.index() >= self.demand.len() {
             self.demand
-                .resize(flow.index() + 1, self.config.initial_demand.as_bps());
+                .resize(flow.index() + 1, Self::INITIAL_DEMAND_BPS);
         }
     }
 
@@ -115,7 +77,7 @@ impl AvisAllocator {
         if interval.is_zero() {
             return Vec::new();
         }
-        let weight = bai_weight(self.config.alpha, self.config.w_ms, interval);
+        let weight = bai_weight(interval);
 
         let videos: Vec<_> = report
             .flows
@@ -129,8 +91,8 @@ impl AvisAllocator {
         // 1. Update smoothed demand from observed throughput (probing up).
         for v in &videos {
             self.ensure(v.flow);
-            let observed = v.throughput(interval).as_bps() * self.config.probe_gain;
-            let observed = observed.max(self.config.initial_demand.as_bps() * 0.25);
+            let observed = v.throughput(interval).as_bps() * Self::PROBE_GAIN;
+            let observed = observed.max(Self::INITIAL_DEMAND_BPS * 0.25);
             let d = &mut self.demand[v.flow.index()];
             *d = (1.0 - weight) * *d + weight * observed;
         }
@@ -150,7 +112,7 @@ impl AvisAllocator {
             per_flow.push((v.flow, demand, rbs_per_sec));
         }
         let cell_rbs_per_sec = f64::from(rbs_per_tti) * 1000.0;
-        let partition = self.config.partition_cap * cell_rbs_per_sec;
+        let partition = Self::PARTITION_CAP * cell_rbs_per_sec;
         let scale = if required_rbs > partition {
             partition / required_rbs
         } else {
@@ -162,7 +124,7 @@ impl AvisAllocator {
             .into_iter()
             .map(|(flow, demand, _)| {
                 let gbr = Rate::from_bps(demand * scale);
-                let mbr = Rate::from_bps(gbr.as_bps() * self.config.mbr_headroom);
+                let mbr = Rate::from_bps(gbr.as_bps() * Self::MBR_HEADROOM);
                 AvisAssignment { flow, gbr, mbr }
             })
             .collect()
@@ -174,17 +136,11 @@ impl AvisAllocator {
     }
 }
 
-impl Default for AvisAllocator {
-    fn default() -> Self {
-        AvisAllocator::new(AvisConfig::default())
-    }
-}
-
 /// The EWMA weight AVIS applies per report of length `interval`: the native
-/// per-`w_ms` constant `alpha` rescaled to the report length.
-fn bai_weight(alpha: f64, w_ms: f64, interval: TimeDelta) -> f64 {
-    let epochs = interval.as_secs_f64() * 1000.0 / w_ms;
-    (1.0 - (1.0 - alpha).powf(epochs)).clamp(0.0, 1.0)
+/// per-`W` constant `α` rescaled to the report length.
+fn bai_weight(interval: TimeDelta) -> f64 {
+    let epochs = interval.as_secs_f64() * 1000.0 / AvisAllocator::W_MS;
+    (1.0 - (1.0 - AvisAllocator::ALPHA).powf(epochs)).clamp(0.0, 1.0)
 }
 
 #[cfg(test)]
@@ -324,8 +280,8 @@ mod tests {
 
     #[test]
     fn bai_weight_rescales() {
-        let w10s = bai_weight(0.01, 150.0, TimeDelta::from_secs(10));
-        let w1s = bai_weight(0.01, 150.0, TimeDelta::from_secs(1));
+        let w10s = bai_weight(TimeDelta::from_secs(10));
+        let w1s = bai_weight(TimeDelta::from_secs(1));
         assert!(w10s > w1s);
         assert!(w10s > 0.0 && w10s < 1.0);
     }

@@ -3,34 +3,7 @@
 use flare_has::estimator::{HarmonicMean, ThroughputEstimator, ThroughputSample};
 use flare_has::{AdaptContext, DownloadSample, Level, RateAdapter};
 
-/// FESTIVE parameters (defaults from the paper's Table IV).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FestiveConfig {
-    /// Gradual-switching constant: an up-switch from level `L` requires
-    /// having stayed `k · (L + 1)` segments at the current level.
-    pub k: u32,
-    /// Bandwidth safety factor: the target rate is the highest encoding
-    /// `≤ p · estimate`.
-    pub p: f64,
-    /// Weight of the efficiency term in the delayed-update score
-    /// `score_stability + α · score_efficiency`.
-    pub alpha: f64,
-    /// Harmonic-mean window (segments).
-    pub window: usize,
-}
-
-impl Default for FestiveConfig {
-    fn default() -> Self {
-        FestiveConfig {
-            k: 4,
-            p: 0.85,
-            alpha: 12.0,
-            window: 20,
-        }
-    }
-}
-
-/// The FESTIVE rate controller.
+/// The FESTIVE rate controller, with the paper's Table IV parameters.
 ///
 /// Per segment:
 /// 1. estimate bandwidth `w` as the harmonic mean of the last 20 samples;
@@ -46,33 +19,29 @@ impl Default for FestiveConfig {
 /// in LTE cells because its estimates cannot see the shared radio state.
 #[derive(Debug, Clone)]
 pub struct Festive {
-    config: FestiveConfig,
     estimator: HarmonicMean,
     segments_at_level: u32,
     recent_switches: Vec<bool>,
 }
 
 impl Festive {
-    /// Creates a FESTIVE controller.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not in `(0, 1]` or `window` is zero.
-    pub fn new(config: FestiveConfig) -> Self {
-        assert!(config.p > 0.0 && config.p <= 1.0, "p must be in (0, 1]");
-        let estimator = HarmonicMean::new(config.window);
-        Festive {
-            config,
-            estimator,
-            segments_at_level: 0,
-            recent_switches: Vec::new(),
-        }
-    }
+    /// Gradual-switching constant (Table IV: `k = 4`): an up-switch from
+    /// level `L` requires having stayed `k · (L + 1)` segments at the
+    /// current level.
+    const K: u32 = 4;
+    /// Bandwidth safety factor (Table IV: `p = 0.85`): the target rate is
+    /// the highest encoding `≤ p · estimate`.
+    const P: f64 = 0.85;
+    /// Weight of the efficiency term in the delayed-update score
+    /// `score_stability + α · score_efficiency` (Table IV: `α = 12`).
+    const ALPHA: f64 = 12.0;
+    /// Harmonic-mean window in segments (Table IV: 20 samples).
+    const WINDOW: usize = 20;
 
-    fn score(&self, switches: usize, candidate: f64, reference: f64) -> f64 {
+    fn score(switches: usize, candidate: f64, reference: f64) -> f64 {
         let stability = (switches as f64).exp2();
         let efficiency = (candidate / reference - 1.0).abs();
-        stability + self.config.alpha * efficiency
+        stability + Self::ALPHA * efficiency
     }
 
     fn recent_switch_count(&self) -> usize {
@@ -86,7 +55,11 @@ impl Festive {
 
 impl Default for Festive {
     fn default() -> Self {
-        Festive::new(FestiveConfig::default())
+        Festive {
+            estimator: HarmonicMean::new(Self::WINDOW),
+            segments_at_level: 0,
+            recent_switches: Vec::new(),
+        }
     }
 }
 
@@ -109,7 +82,7 @@ impl RateAdapter for Festive {
             return last;
         };
 
-        let reference = estimate.as_bps() * self.config.p;
+        let reference = estimate.as_bps() * Self::P;
         let b_ref = ctx
             .ladder
             .highest_at_most_or_lowest(flare_sim::units::Rate::from_bps(reference));
@@ -117,7 +90,7 @@ impl RateAdapter for Festive {
         // Gradual switching: move one level at a time; up-switches are gated
         // on dwell time proportional to the current level.
         let candidate = if b_ref > last {
-            let dwell_needed = self.config.k * (last.index() as u32 + 1);
+            let dwell_needed = Self::K * (last.index() as u32 + 1);
             if self.segments_at_level >= dwell_needed {
                 ctx.ladder.clamp(last.up())
             } else {
@@ -138,8 +111,8 @@ impl RateAdapter for Festive {
             let target_rate = ctx.ladder.rate(b_ref).as_bps();
             let reference_rate = ctx.ladder.rate(b_ref).as_bps();
             let switches = self.recent_switch_count();
-            let score_stay = self.score(switches, cur_rate, reference_rate);
-            let score_move = self.score(switches + 1, target_rate, reference_rate);
+            let score_stay = Self::score(switches, cur_rate, reference_rate);
+            let score_move = Self::score(switches + 1, target_rate, reference_rate);
             if score_move < score_stay {
                 candidate
             } else {

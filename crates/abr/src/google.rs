@@ -4,27 +4,6 @@ use flare_has::estimator::{DualWindow, ThroughputEstimator, ThroughputSample};
 use flare_has::{AdaptContext, DownloadSample, Level, RateAdapter};
 use flare_sim::units::Rate;
 
-/// GOOGLE parameters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GoogleConfig {
-    /// Long-window length in segments (`b^l`).
-    pub long_window: usize,
-    /// Short-window length in segments (`b^s`).
-    pub short_window: usize,
-    /// Safety factor: select the highest rate `≤ safety · min(b^l, b^s)`.
-    pub safety: f64,
-}
-
-impl Default for GoogleConfig {
-    fn default() -> Self {
-        GoogleConfig {
-            long_window: 20,
-            short_window: 5,
-            safety: 0.85,
-        }
-    }
-}
-
 /// The reference player's rate control: two arithmetic-mean bandwidth
 /// estimates over long- and short-term histories, then "the highest
 /// available video rate ≤ 0.85 · min(b^l, b^s)" (Section IV-A).
@@ -34,29 +13,25 @@ impl Default for GoogleConfig {
 /// produces the frequent re-buffering the paper observes (Figure 4b).
 #[derive(Debug, Clone)]
 pub struct Google {
-    config: GoogleConfig,
     estimator: DualWindow,
 }
 
 impl Google {
-    /// Creates the controller.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the windows are invalid or `safety` is not in `(0, 1]`.
-    pub fn new(config: GoogleConfig) -> Self {
-        assert!(
-            config.safety > 0.0 && config.safety <= 1.0,
-            "safety factor must be in (0, 1]"
-        );
-        let estimator = DualWindow::new(config.long_window, config.short_window);
-        Google { config, estimator }
-    }
+    /// Long-window length in segments (`b^l`). The paper names the two
+    /// windows but not their lengths; 20 and 5 are this reproduction's.
+    const LONG_WINDOW: usize = 20;
+    /// Short-window length in segments (`b^s`).
+    const SHORT_WINDOW: usize = 5;
+    /// Safety factor: select the highest rate `≤ 0.85 · min(b^l, b^s)`
+    /// (Section IV-A).
+    const SAFETY: f64 = 0.85;
 }
 
 impl Default for Google {
     fn default() -> Self {
-        Google::new(GoogleConfig::default())
+        Google {
+            estimator: DualWindow::new(Self::LONG_WINDOW, Self::SHORT_WINDOW),
+        }
     }
 }
 
@@ -72,7 +47,7 @@ impl RateAdapter for Google {
         match self.estimator.estimate() {
             None => ctx.ladder.lowest(),
             Some(est) => {
-                let budget = Rate::from_bps(est.as_bps() * self.config.safety);
+                let budget = Rate::from_bps(est.as_bps() * Self::SAFETY);
                 ctx.ladder.highest_at_most_or_lowest(budget)
             }
         }
@@ -160,14 +135,5 @@ mod tests {
             g.next_level(&ctx(&ladder, Some(Level::new(7)))),
             Level::new(1)
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "safety factor")]
-    fn invalid_safety_panics() {
-        let _ = Google::new(GoogleConfig {
-            safety: 0.0,
-            ..GoogleConfig::default()
-        });
     }
 }

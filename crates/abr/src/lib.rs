@@ -30,8 +30,8 @@ mod rate_based;
 mod shared;
 mod versioned;
 
-pub use festive::{Festive, FestiveConfig};
-pub use google::{Google, GoogleConfig};
+pub use festive::Festive;
+pub use google::Google;
 pub use rate_based::RateBased;
 pub use shared::SharedAssignment;
 pub use versioned::{CoordinationMode, VersionedAssignment};

@@ -21,9 +21,11 @@ pub struct ClientPrefs {
     /// The client disclosed that the user is skimming (frequent seeks): the
     /// server assigns the minimum bitrate to avoid wasting radio resources.
     pub skimming: bool,
-    /// Client-specific importance weight `β_u`, if disclosed.
+    /// Client-specific importance weight `β_u`, if disclosed (otherwise
+    /// [`crate::FlareConfig::BETA`]).
     pub beta: Option<f64>,
-    /// Client-specific screen parameter `θ_u`, if disclosed.
+    /// Client-specific screen parameter `θ_u`, if disclosed (otherwise
+    /// [`crate::FlareConfig::THETA`]).
     pub theta: Option<Rate>,
 }
 

@@ -1,7 +1,6 @@
 //! FLARE algorithm parameters.
 
 use flare_sim::units::Rate;
-use flare_sim::TimeDelta;
 
 /// How the OneAPI server solves the per-BAI optimization (Figure 8 compares
 /// the two).
@@ -60,8 +59,11 @@ impl Default for RobustnessConfig {
 
 /// Parameters of FLARE's coordination algorithm.
 ///
-/// Defaults come from the paper's Table IV: `α = 1.0`, `δ = 4`,
-/// `θ_u = 0.2 Mbps`, `β_u = 10`.
+/// Defaults come from the paper's Table IV: `α = 1.0`, `δ = 4`. The
+/// per-client utility parameters are the constants [`FlareConfig::BETA`]
+/// and [`FlareConfig::THETA`] unless a client discloses its own in
+/// [`crate::ClientPrefs`]. The BAI is the caller's: the server solves over
+/// each report's own interval.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlareConfig {
     /// Relative priority of data flows versus video flows (`α` in (3);
@@ -71,12 +73,6 @@ pub struct FlareConfig {
     /// (1-based) is applied only after `δ · (L+1)` consecutive BAIs of the
     /// same recommendation (Figure 12 sweeps δ from 1 to 12).
     pub delta: u32,
-    /// Default importance weight `β_u` for clients that don't send one.
-    pub beta: f64,
-    /// Default screen-size parameter `θ_u` for clients that don't send one.
-    pub theta: Rate,
-    /// Bitrate assignment interval `B`.
-    pub bai: TimeDelta,
     /// Which solver backs Algorithm 1.
     pub solve_mode: SolveMode,
     /// Graceful degradation under control-plane faults. `None` (the
@@ -90,9 +86,6 @@ impl Default for FlareConfig {
         FlareConfig {
             alpha: 1.0,
             delta: 4,
-            beta: 10.0,
-            theta: Rate::from_mbps(0.2),
-            bai: TimeDelta::from_secs(10),
             solve_mode: SolveMode::Exact,
             robustness: None,
         }
@@ -100,6 +93,13 @@ impl Default for FlareConfig {
 }
 
 impl FlareConfig {
+    /// Importance weight `β_u` of a client that discloses none (Table IV:
+    /// `β_u = 10`).
+    pub const BETA: f64 = 10.0;
+    /// Screen-size parameter `θ_u` of a client that discloses none (Table
+    /// IV: `θ_u = 0.2 Mbps`).
+    pub const THETA: Rate = Rate::from_mbps(0.2);
+
     /// Returns a copy with a different `α`.
     pub fn with_alpha(mut self, alpha: f64) -> Self {
         assert!(
@@ -113,17 +113,6 @@ impl FlareConfig {
     /// Returns a copy with a different `δ`.
     pub fn with_delta(mut self, delta: u32) -> Self {
         self.delta = delta;
-        self
-    }
-
-    /// Returns a copy with a different BAI.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bai` is zero.
-    pub fn with_bai(mut self, bai: TimeDelta) -> Self {
-        assert!(!bai.is_zero(), "BAI must be non-zero");
-        self.bai = bai;
         self
     }
 
@@ -149,9 +138,6 @@ mod tests {
         let c = FlareConfig::default();
         assert_eq!(c.alpha, 1.0);
         assert_eq!(c.delta, 4);
-        assert_eq!(c.beta, 10.0);
-        assert_eq!(c.theta, Rate::from_mbps(0.2));
-        assert_eq!(c.bai, TimeDelta::from_secs(10));
         assert_eq!(c.solve_mode, SolveMode::Exact);
     }
 
@@ -160,18 +146,10 @@ mod tests {
         let c = FlareConfig::default()
             .with_alpha(2.0)
             .with_delta(8)
-            .with_bai(TimeDelta::from_secs(2))
             .with_solve_mode(SolveMode::Relaxed);
         assert_eq!(c.alpha, 2.0);
         assert_eq!(c.delta, 8);
-        assert_eq!(c.bai, TimeDelta::from_secs(2));
         assert_eq!(c.solve_mode, SolveMode::Relaxed);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero")]
-    fn zero_bai_panics() {
-        let _ = FlareConfig::default().with_bai(TimeDelta::ZERO);
     }
 
     #[test]

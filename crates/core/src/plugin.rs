@@ -215,7 +215,7 @@ mod tests {
         let cell = VersionedAssignment::new(3, 2);
         let mut plugin = ResilientPlugin::new(cell.clone());
         assert_eq!(plugin.next_level(&ctx(&ladder)), ladder.lowest());
-        cell.install(1, 0, Level::new(4));
+        cell.install(1, Level::new(4));
         assert_eq!(plugin.next_level(&ctx(&ladder)), Level::new(4));
     }
 
@@ -224,7 +224,7 @@ mod tests {
         let ladder = BitrateLadder::testbed();
         let cell = VersionedAssignment::new(1, 1);
         let mut plugin = ResilientPlugin::new(cell.clone());
-        cell.install(1, 0, Level::new(2));
+        cell.install(1, Level::new(2));
         cell.end_bai();
         // Plenty of measured throughput — without the cap this would pick a
         // high level.
@@ -239,7 +239,7 @@ mod tests {
         let ladder = BitrateLadder::testbed();
         let cell = VersionedAssignment::new(1, 1);
         let mut plugin = ResilientPlugin::new(cell.clone());
-        cell.install(1, 0, ladder.highest());
+        cell.install(1, ladder.highest());
         cell.end_bai();
         cell.end_bai(); // silent -> fallback
                         // Throughput only supports a bit more than the lowest encoding.
@@ -254,7 +254,7 @@ mod tests {
         let ladder = BitrateLadder::testbed();
         let cell = VersionedAssignment::new(1, 1);
         let mut plugin = ResilientPlugin::new(cell.clone());
-        cell.install(1, 0, ladder.highest());
+        cell.install(1, ladder.highest());
         cell.end_bai();
         cell.end_bai(); // silent -> fallback
         plugin.on_download_complete(sample(ladder.rate(ladder.highest())));
@@ -268,7 +268,7 @@ mod tests {
         let ladder = BitrateLadder::testbed();
         let cell = VersionedAssignment::new(1, 1);
         let mut plugin = ResilientPlugin::new(cell.clone());
-        cell.install(1, 0, ladder.highest());
+        cell.install(1, ladder.highest());
         cell.end_bai();
         cell.end_bai(); // silent -> fallback
         assert_eq!(plugin.next_level(&ctx(&ladder)), ladder.lowest());

@@ -5,7 +5,7 @@ use std::time::Duration;
 use flare_has::Level;
 use flare_lte::{FlowClass, FlowId, FlowIntervalStats, IntervalReport, Itbs, LinkAdaptation};
 use flare_sim::units::Rate;
-use flare_sim::Time;
+use flare_sim::{Time, TimeDelta};
 use flare_solver::{round_down, solve_discrete, solve_relaxed, FlowSpec, ProblemSpec};
 use flare_trace::{Category, TraceHandle};
 
@@ -196,13 +196,15 @@ impl OneApiServer {
     ///   deregistered from the PCRF.
     ///
     /// Assignments carry the server's BAI sequence number and `now`, so
-    /// receivers can reject stale or reordered deliveries. The robustness
-    /// parameters come from the config's [`crate::RobustnessConfig`]
-    /// (defaults apply if none was set).
+    /// receivers can reject stale or reordered deliveries. `bai` sizes the
+    /// RB budget when no report arrived; otherwise the report's own
+    /// interval does. The robustness parameters come from the config's
+    /// [`crate::RobustnessConfig`] (defaults apply if none was set).
     pub fn bai_tick(
         &mut self,
         now: Time,
         report: Option<&IntervalReport>,
+        bai: TimeDelta,
         la: &LinkAdaptation,
         rbs_per_tti: u32,
     ) -> Vec<AssignmentMsg> {
@@ -251,9 +253,7 @@ impl OneApiServer {
 
         // 3. Solve over cached observations; a client never observed at all
         // is assumed to sit at the worst link-adaptation operating point.
-        let bai_ms = report
-            .map(|r| r.duration().as_millis())
-            .unwrap_or_else(|| self.config.bai.as_millis());
+        let bai_ms = report.map_or(bai, IntervalReport::duration).as_millis();
         let bai_secs = bai_ms as f64 / 1000.0;
         let total_rbs = f64::from(rbs_per_tti) * bai_ms as f64;
         let floor = la.bits_per_rb(Itbs::new(0)).max(1.0);
@@ -317,12 +317,12 @@ impl OneApiServer {
                 .iter()
                 .map(|r| r.as_bps())
                 .collect();
-            let beta = client.info.prefs().beta.unwrap_or(self.config.beta);
+            let beta = client.info.prefs().beta.unwrap_or(FlareConfig::BETA);
             let theta = client
                 .info
                 .prefs()
                 .theta
-                .unwrap_or(self.config.theta)
+                .unwrap_or(FlareConfig::THETA)
                 .as_bps();
             let max_allowed = client.info.max_allowed_level().index();
             let min_allowed = client.info.min_allowed_level().index();
@@ -633,8 +633,8 @@ mod tests {
         ) {
             // Metamorphic, end to end through Algorithm 1: the server sees
             // rates only through θ/R and the RB cost n_u·R/b_u. Scaling the
-            // ladder, θ and every report's bytes by the same power of two
-            // keeps both exact, so no applied level may move in any BAI,
+            // ladder, each client's θ and every report's bytes by the same
+            // power of two keeps both exact, so no applied level may move in any BAI,
             // δ filter included. Every flow reports RBs, so the link-
             // adaptation fallback (which does not scale) is never used.
             let (_, videos, datas) = cell(n_video, n_data, 10);
@@ -642,10 +642,14 @@ mod tests {
                 let ladder = BitrateLadder::new(
                     BitrateLadder::simulation().rates().iter().map(|&r| r * k).collect(),
                 );
-                let base = FlareConfig::default().with_delta(delta);
-                let mut server = OneApiServer::new(FlareConfig { theta: base.theta * k, ..base });
+                let mut server = OneApiServer::new(FlareConfig::default().with_delta(delta));
+                let prefs = ClientPrefs {
+                    theta: Some(FlareConfig::THETA * k),
+                    ..ClientPrefs::default()
+                };
                 for &v in &videos {
-                    server.register_video(ClientInfo::new(v, ladder.clone()));
+                    let info = ClientInfo::new(v, ladder.clone()).with_prefs(prefs.clone());
+                    server.register_video(info);
                 }
                 for &d in &datas {
                     server.register_data(d);
@@ -695,6 +699,9 @@ mod tests {
     /// admit increases.
     const BAIS: usize = 8;
 
+    /// The BAI `bai_tick` falls back to when a report is missing.
+    const BAI: flare_sim::TimeDelta = flare_sim::TimeDelta::from_secs(10);
+
     use crate::RobustnessConfig;
     use flare_trace::TraceHandle;
 
@@ -734,7 +741,7 @@ mod tests {
             let report = run_bai(&mut enb, bai);
             let la = enb.link_adaptation().clone();
             let legacy = lossless.assign(&report, &la, 50);
-            let ticked = robust.bai_tick(report.end, Some(&report), &la, 50);
+            let ticked = robust.bai_tick(report.end, Some(&report), BAI, &la, 50);
             assert_eq!(legacy.len(), ticked.len());
             for (a, m) in legacy.iter().zip(&ticked) {
                 assert_eq!(a.flow.index() as u32, m.flow_id);
@@ -752,8 +759,8 @@ mod tests {
         let (_, mut server) = servers(&videos);
         let report = run_bai(&mut enb, 0);
         let la = enb.link_adaptation().clone();
-        let first = server.bai_tick(Time::from_secs(10), Some(&report), &la, 50);
-        let second = server.bai_tick(Time::from_secs(20), None, &la, 50);
+        let first = server.bai_tick(Time::from_secs(10), Some(&report), BAI, &la, 50);
+        let second = server.bai_tick(Time::from_secs(20), None, BAI, &la, 50);
         assert_eq!(first[0].seq, 1);
         assert_eq!(second[0].seq, 2);
         assert_eq!(first[0].issued_ms, 10_000);
@@ -773,7 +780,7 @@ mod tests {
         }
         let full = run_bai(&mut enb, 0);
         let la = enb.link_adaptation().clone();
-        let msgs = server.bai_tick(Time::from_secs(10), Some(&full), &la, 50);
+        let msgs = server.bai_tick(Time::from_secs(10), Some(&full), BAI, &la, 50);
         assert_eq!(msgs.len(), 2);
 
         // From here on, flow 1 goes silent: reports only cover flow 0.
@@ -781,7 +788,7 @@ mod tests {
         let mut now = Time::from_secs(10);
         for i in 1..r.evict_bais {
             now += flare_sim::TimeDelta::from_secs(10);
-            let msgs = server.bai_tick(now, Some(&partial), &la, 50);
+            let msgs = server.bai_tick(now, Some(&partial), BAI, &la, 50);
             assert_eq!(
                 msgs.len(),
                 2,
@@ -790,7 +797,7 @@ mod tests {
         }
         // The next silent BAI crosses the eviction threshold.
         now += flare_sim::TimeDelta::from_secs(10);
-        let msgs = server.bai_tick(now, Some(&partial), &la, 50);
+        let msgs = server.bai_tick(now, Some(&partial), BAI, &la, 50);
         assert_eq!(msgs.len(), 1, "evicted client no longer assigned");
         assert_eq!(msgs[0].flow_id, 0);
         assert_eq!(server.client_count(), 1);
@@ -816,11 +823,11 @@ mod tests {
         }
         let la = enb.link_adaptation().clone();
         let full = run_bai(&mut enb, 0);
-        server.bai_tick(Time::from_secs(10), Some(&full), &la, 50);
+        server.bai_tick(Time::from_secs(10), Some(&full), BAI, &la, 50);
         let partial = only_flow(&full, videos[0]);
         let mut silent_levels = Vec::new();
         for bai in 2..14u64 {
-            let msgs = server.bai_tick(Time::from_secs(bai * 10), Some(&partial), &la, 50);
+            let msgs = server.bai_tick(Time::from_secs(bai * 10), Some(&partial), BAI, &la, 50);
             silent_levels.push(msgs.iter().find(|m| m.flow_id == 1).unwrap().level);
         }
         // The one-step-up ramp may climb for a few BAIs on the still-good

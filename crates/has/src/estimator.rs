@@ -7,7 +7,6 @@
 //! * [`SlidingMean`] — arithmetic mean over the last *n* samples.
 //! * [`HarmonicMean`] — FESTIVE's estimator, robust to outlier-fast
 //!   segments.
-//! * [`Ewma`] — exponentially weighted moving average.
 //! * [`DualWindow`] — the reference MPEG-DASH player's long/short pair
 //!   (`b^l`, `b^s`); GOOGLE picks the highest encoding
 //!   `≤ 0.85 · min(b^l, b^s)`.
@@ -135,44 +134,6 @@ impl ThroughputEstimator for HarmonicMean {
     }
 }
 
-/// Exponentially weighted moving average with smoothing factor `alpha`.
-#[derive(Debug, Clone)]
-pub struct Ewma {
-    alpha: f64,
-    current: Option<Rate>,
-}
-
-impl Ewma {
-    /// Creates an EWMA; `alpha` is the weight of the newest sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is not in `(0, 1]`.
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        Ewma {
-            alpha,
-            current: None,
-        }
-    }
-}
-
-impl ThroughputEstimator for Ewma {
-    fn record(&mut self, sample: ThroughputSample) {
-        let r = sample.rate();
-        self.current = Some(match self.current {
-            None => r,
-            Some(prev) => {
-                Rate::from_bps((1.0 - self.alpha) * prev.as_bps() + self.alpha * r.as_bps())
-            }
-        });
-    }
-
-    fn estimate(&self) -> Option<Rate> {
-        self.current
-    }
-}
-
 /// The reference player's long/short window pair.
 ///
 /// `GOOGLE` (the MPEG-DASH/Media Source demo player) keeps two bandwidth
@@ -185,8 +146,7 @@ pub struct DualWindow {
 }
 
 impl DualWindow {
-    /// Creates the pair; the reference player defaults to windows of 10 and
-    /// 3 segments.
+    /// Creates the pair from the two window lengths, in segments.
     ///
     /// # Panics
     ///
@@ -208,12 +168,6 @@ impl DualWindow {
             (Some(l), Some(s)) => Some(l.min(s)),
             _ => None,
         }
-    }
-}
-
-impl Default for DualWindow {
-    fn default() -> Self {
-        DualWindow::new(10, 3)
     }
 }
 
@@ -273,15 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn ewma_tracks_with_lag() {
-        let mut e = Ewma::new(0.5);
-        e.record(sample(1.0));
-        assert_eq!(e.estimate().unwrap().as_mbps(), 1.0);
-        e.record(sample(3.0));
-        assert!((e.estimate().unwrap().as_mbps() - 2.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn dual_window_takes_min() {
         let mut d = DualWindow::new(3, 1);
         d.record(sample(4.0));
@@ -299,20 +244,13 @@ mod tests {
     fn estimators_start_empty() {
         assert!(SlidingMean::new(3).estimate().is_none());
         assert!(HarmonicMean::new(3).estimate().is_none());
-        assert!(Ewma::new(0.3).estimate().is_none());
-        assert!(DualWindow::default().estimate().is_none());
+        assert!(DualWindow::new(3, 1).estimate().is_none());
     }
 
     #[test]
     #[should_panic(expected = "window")]
     fn zero_window_panics() {
         let _ = SlidingMean::new(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha")]
-    fn bad_alpha_panics() {
-        let _ = Ewma::new(0.0);
     }
 
     proptest! {

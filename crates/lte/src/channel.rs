@@ -7,13 +7,15 @@
 //! * **Triangle wave** — the testbed dynamic scenario sweeps iTbs 1 → 12 → 1
 //!   over a four-minute cycle, each UE starting at a different offset
 //!   ([`TriangleWave`]).
-//! * **Trace** — the ns-3 experiments use a "trace based model"; traces are
-//!   replayed by [`TraceChannel`] and generated from the mobility model in
-//!   [`crate::mobility`].
+//! * **Mobility** — the ns-3 experiments use a "trace based model", which
+//!   [`crate::mobility::MobilityChannel`] generates live.
+//!
+//! [`TraceChannel`] replays a scripted `(time, iTbs)` list, for tests that
+//! need a channel to change at chosen times.
 
 use flare_sim::{Time, TimeDelta, TTI};
 
-use crate::tbs::{Itbs, ITBS_MAX};
+use crate::tbs::Itbs;
 
 /// A time-varying channel quality process for one UE.
 ///
@@ -143,8 +145,8 @@ impl ChannelModel for TriangleWave {
     }
 }
 
-/// Replays a recorded `(time, iTbs)` trace, holding each value until the next
-/// entry — the ns-3 "trace based model".
+/// Replays a scripted `(time, iTbs)` trace, holding each value until the
+/// next entry.
 ///
 /// # Example
 ///
@@ -181,101 +183,6 @@ impl TraceChannel {
             "trace must be sorted by time"
         );
         TraceChannel { trace, cursor: 0 }
-    }
-
-    /// Returns the underlying trace.
-    pub fn trace(&self) -> &[(Time, Itbs)] {
-        &self.trace
-    }
-}
-
-/// A malformed channel-trace document.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ParseTraceError {
-    /// A line did not have the `time_ms,itbs` shape.
-    BadLine {
-        /// 1-based line number.
-        line: usize,
-    },
-    /// An iTbs value was out of range.
-    BadItbs {
-        /// 1-based line number.
-        line: usize,
-    },
-    /// The document had no entries.
-    Empty,
-    /// Entries were unsorted or did not start at t = 0.
-    BadTimeline,
-}
-
-impl std::fmt::Display for ParseTraceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ParseTraceError::BadLine { line } => {
-                write!(f, "line {line} is not `time_ms,itbs`")
-            }
-            ParseTraceError::BadItbs { line } => {
-                write!(f, "line {line} has an iTbs outside 0..=26")
-            }
-            ParseTraceError::Empty => write!(f, "trace has no entries"),
-            ParseTraceError::BadTimeline => {
-                write!(f, "trace must be sorted and start at t=0")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ParseTraceError {}
-
-impl TraceChannel {
-    /// Serializes the trace as `time_ms,itbs` lines (one per entry) — the
-    /// on-disk format for recorded channel traces.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        for (t, itbs) in &self.trace {
-            out.push_str(&format!("{},{}\n", t.as_millis(), itbs.index()));
-        }
-        out
-    }
-
-    /// Parses a trace from [`TraceChannel::to_csv`]'s format. Blank lines
-    /// and `#` comments are ignored.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ParseTraceError`] on malformed lines, out-of-range iTbs
-    /// values, an empty document, or an unsorted timeline.
-    pub fn from_csv(text: &str) -> Result<TraceChannel, ParseTraceError> {
-        let mut trace = Vec::new();
-        for (i, raw) in text.lines().enumerate() {
-            let line = i + 1;
-            let content = raw.trim();
-            if content.is_empty() || content.starts_with('#') {
-                continue;
-            }
-            let (t, v) = content
-                .split_once(',')
-                .ok_or(ParseTraceError::BadLine { line })?;
-            let ms: u64 = t
-                .trim()
-                .parse()
-                .map_err(|_| ParseTraceError::BadLine { line })?;
-            let idx: u8 = v
-                .trim()
-                .parse()
-                .map_err(|_| ParseTraceError::BadLine { line })?;
-            if idx > ITBS_MAX {
-                return Err(ParseTraceError::BadItbs { line });
-            }
-            trace.push((Time::from_millis(ms), Itbs::new(idx)));
-        }
-        if trace.is_empty() {
-            return Err(ParseTraceError::Empty);
-        }
-        if trace[0].0 != Time::ZERO || trace.windows(2).any(|w| w[0].0 > w[1].0) {
-            return Err(ParseTraceError::BadTimeline);
-        }
-        Ok(TraceChannel { trace, cursor: 0 })
     }
 }
 
@@ -410,56 +317,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_csv_round_trips() {
-        let original = TraceChannel::new(vec![
-            (Time::ZERO, Itbs::new(3)),
-            (Time::from_secs(5), Itbs::new(8)),
-            (Time::from_secs(9), Itbs::new(1)),
-        ]);
-        let csv = original.to_csv();
-        assert_eq!(csv, "0,3\n5000,8\n9000,1\n");
-        let parsed = TraceChannel::from_csv(&csv).unwrap();
-        assert_eq!(parsed.trace(), original.trace());
-    }
-
-    #[test]
-    fn trace_csv_ignores_comments_and_blanks() {
-        let text = "# recorded ue-3\n\n0,5\n\n100, 7\n";
-        let parsed = TraceChannel::from_csv(text).unwrap();
-        assert_eq!(parsed.trace().len(), 2);
-        assert_eq!(parsed.trace()[1], (Time::from_millis(100), Itbs::new(7)));
-    }
-
-    #[test]
-    fn trace_csv_rejects_malformed_documents() {
-        assert_eq!(
-            TraceChannel::from_csv("0;5\n"),
-            Err(ParseTraceError::BadLine { line: 1 })
-        );
-        assert_eq!(
-            TraceChannel::from_csv("0,99\n"),
-            Err(ParseTraceError::BadItbs { line: 1 })
-        );
-        assert_eq!(
-            TraceChannel::from_csv("# nothing\n"),
-            Err(ParseTraceError::Empty)
-        );
-        assert_eq!(
-            TraceChannel::from_csv("100,5\n"),
-            Err(ParseTraceError::BadTimeline)
-        );
-        assert_eq!(
-            TraceChannel::from_csv("0,5\n200,6\n100,7\n"),
-            Err(ParseTraceError::BadTimeline)
-        );
-        // Errors render human-readable messages.
-        assert_eq!(
-            ParseTraceError::BadItbs { line: 3 }.to_string(),
-            "line 3 has an iTbs outside 0..=26"
-        );
-    }
-
-    #[test]
     fn valid_until_follows_each_model() {
         let mut st = StaticChannel::new(Itbs::new(4));
         st.itbs_at(Time::from_secs(3));
@@ -487,8 +344,18 @@ mod tests {
 
     /// One channel of every model, built identically for the same `seed`.
     fn every_model(seed: u64) -> Vec<Box<dyn ChannelModel>> {
-        use crate::mobility::{generate_trace, MobilityChannel, MobilityConfig};
+        use crate::mobility::{MobilityChannel, MobilityConfig};
+        use crate::tbs::ITBS_MAX;
+        use rand::Rng;
         let mobility = MobilityConfig::default();
+        // Entries 0–2 s apart (repeated times included) past the horizon.
+        let mut rng = stream(seed, "trace", 0);
+        let mut t = Time::ZERO;
+        let mut trace = vec![(t, Itbs::new(rng.gen_range(0..=ITBS_MAX)))];
+        while t.as_millis() <= CONTRACT_HORIZON_MS {
+            t += TimeDelta::from_millis(rng.gen_range(0..2_000));
+            trace.push((t, Itbs::new(rng.gen_range(0..=ITBS_MAX))));
+        }
         vec![
             Box::new(StaticChannel::new(Itbs::new((seed % 27) as u8))),
             Box::new(TriangleWave::new(
@@ -497,12 +364,7 @@ mod tests {
                 TimeDelta::from_secs(10 + seed % 240),
                 TimeDelta::from_millis(seed % 7_000),
             )),
-            Box::new(generate_trace(
-                &mobility,
-                TimeDelta::from_millis(CONTRACT_HORIZON_MS),
-                stream(seed, "walk", 0),
-                stream(seed, "fade", 0),
-            )),
+            Box::new(TraceChannel::new(trace)),
             Box::new(MobilityChannel::new(
                 mobility,
                 stream(seed, "walk", 1),

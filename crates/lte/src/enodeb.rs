@@ -11,6 +11,12 @@ use crate::scheduler::{FlowTtiState, MacScheduler, RbAllocation};
 use crate::stats::{FlowIntervalStats, IntervalReport};
 use crate::tbs::{Itbs, LinkAdaptation};
 
+/// Burst window of the GBR credit bucket: how far behind its guaranteed
+/// rate the MAC lets a flow fall before credit stops accruing.
+const GBR_BURST_WINDOW: TimeDelta = TimeDelta::from_millis(200);
+/// Burst window of the MBR allowance bucket.
+const MBR_BURST_WINDOW: TimeDelta = TimeDelta::from_millis(200);
+
 /// Cell-wide radio configuration.
 #[derive(Debug, Clone)]
 pub struct CellConfig {
@@ -19,11 +25,6 @@ pub struct CellConfig {
     pub rbs_per_tti: u32,
     /// iTbs → bits-per-RB mapping.
     pub link_adaptation: LinkAdaptation,
-    /// Burst window of the GBR credit bucket (how far behind its guaranteed
-    /// rate the MAC lets a flow fall before credit stops accruing).
-    pub gbr_burst_window: TimeDelta,
-    /// Burst window of the MBR allowance bucket.
-    pub mbr_burst_window: TimeDelta,
 }
 
 impl Default for CellConfig {
@@ -31,8 +32,6 @@ impl Default for CellConfig {
         CellConfig {
             rbs_per_tti: 50,
             link_adaptation: LinkAdaptation::default(),
-            gbr_burst_window: TimeDelta::from_millis(200),
-            mbr_burst_window: TimeDelta::from_millis(200),
         }
     }
 }
@@ -228,7 +227,6 @@ impl ENodeB {
                 None => e.bool("cleared", true),
             };
         });
-        let window = self.config.gbr_burst_window;
         let st = self.flow_mut(flow);
         // A plain set is persistent: it cancels any outstanding lease.
         st.gbr_expires = None;
@@ -236,7 +234,7 @@ impl ENodeB {
         match (gbr, st.gbr_bucket.as_mut()) {
             (Some(rate), Some(bucket)) => bucket.set_rate(rate),
             (Some(rate), None) => {
-                let mut bucket = TokenBucket::new(rate, window);
+                let mut bucket = TokenBucket::new(rate, GBR_BURST_WINDOW);
                 bucket.advance(now);
                 bucket.drain();
                 st.gbr_bucket = Some(bucket);
@@ -287,13 +285,12 @@ impl ENodeB {
     /// Panics if `flow` is unknown.
     pub fn set_mbr(&mut self, flow: FlowId, mbr: Option<Rate>) {
         let now = self.now;
-        let window = self.config.mbr_burst_window;
         let st = self.flow_mut(flow);
         st.qos.mbr = mbr;
         match (mbr, st.mbr_bucket.as_mut()) {
             (Some(rate), Some(bucket)) => bucket.set_rate(rate),
             (Some(rate), None) => {
-                let mut bucket = TokenBucket::new(rate, window);
+                let mut bucket = TokenBucket::new(rate, MBR_BURST_WINDOW);
                 bucket.advance(now);
                 // An MBR bucket starts full: the flow may immediately burst
                 // one window's worth.

@@ -10,16 +10,15 @@
 //!    log-distance path loss plus AR(1) lognormal shadowing,
 //! 3. [`snr_to_itbs`] maps SNR to the iTbs operating point used by link
 //!    adaptation, and
-//! 4. [`MobilityChannel`] packages 1–3 as a [`ChannelModel`];
-//!    [`generate_trace`] pre-bakes the same process into a replayable
-//!    [`TraceChannel`].
+//! 4. [`MobilityChannel`] packages 1–3 as a [`ChannelModel`], generating
+//!    the trace live as the cell polls it.
 
 use flare_sim::rng::standard_normal;
 use flare_sim::{Time, TimeDelta};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use crate::channel::{ChannelModel, TraceChannel};
+use crate::channel::ChannelModel;
 use crate::tbs::Itbs;
 
 /// A planar position in metres.
@@ -308,34 +307,6 @@ impl ChannelModel for MobilityChannel {
     }
 }
 
-/// Pre-generates a `(time, iTbs)` trace from the mobility pipeline, suitable
-/// for [`TraceChannel`] playback (and for persisting scenario inputs).
-pub fn generate_trace(
-    config: &MobilityConfig,
-    duration: TimeDelta,
-    walk_rng: SmallRng,
-    fade_rng: SmallRng,
-) -> TraceChannel {
-    let mut live = MobilityChannel::new(config.clone(), walk_rng, fade_rng);
-    let step = config.update_interval;
-    let mut trace = Vec::new();
-    let mut t = Time::ZERO;
-    let end = Time::ZERO + duration;
-    let mut last: Option<Itbs> = None;
-    while t <= end {
-        let v = live.itbs_at(t);
-        if last != Some(v) {
-            trace.push((t, v));
-            last = Some(v);
-        }
-        t += step;
-    }
-    if trace.is_empty() {
-        trace.push((Time::ZERO, Itbs::new(0)));
-    }
-    TraceChannel::new(trace)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,39 +404,6 @@ mod tests {
         assert!(
             distinct.len() >= 3,
             "mobile channel should vary, got {distinct:?}"
-        );
-    }
-
-    #[test]
-    fn generated_trace_matches_live_channel() {
-        let cfg = MobilityConfig::default();
-        let mut live =
-            MobilityChannel::new(cfg.clone(), stream(6, "walk", 2), stream(6, "fade", 2));
-        let mut trace = generate_trace(
-            &cfg,
-            TimeDelta::from_secs(120),
-            stream(6, "walk", 2),
-            stream(6, "fade", 2),
-        );
-        for ms in (0..120_000).step_by(100) {
-            let t = Time::from_millis(ms);
-            assert_eq!(live.itbs_at(t), trace.itbs_at(t), "divergence at {t:?}");
-        }
-    }
-
-    #[test]
-    fn trace_compresses_repeats() {
-        let cfg = MobilityConfig::default();
-        let tr = generate_trace(
-            &cfg,
-            TimeDelta::from_secs(60),
-            stream(7, "walk", 0),
-            stream(7, "fade", 0),
-        );
-        let entries = tr.trace();
-        assert!(
-            entries.windows(2).all(|w| w[0].1 != w[1].1),
-            "adjacent duplicates present"
         );
     }
 }

@@ -6,7 +6,6 @@
 //! clients per run, twenty runs per plot (= 160 client samples for the
 //! CDFs). Three schemes are compared: FLARE, AVIS, and FESTIVE.
 
-use flare_abr::avis::AvisConfig;
 use flare_core::FlareConfig;
 use flare_lte::mobility::MobilityConfig;
 use flare_sim::TimeDelta;
@@ -18,7 +17,7 @@ use crate::runner::{CellSim, RunResult};
 pub fn schemes() -> Vec<SchemeKind> {
     vec![
         SchemeKind::Flare(FlareConfig::default()),
-        SchemeKind::Avis(AvisConfig::default()),
+        SchemeKind::Avis,
         SchemeKind::Festive,
     ]
 }

@@ -1,7 +1,6 @@
 //! Simulation configuration: who streams what, over which cell, under
 //! which adaptation scheme.
 
-use flare_abr::avis::AvisConfig;
 use flare_core::{ClientPrefs, FaultModel, FlareConfig};
 use flare_has::{BitrateLadder, PlayerConfig};
 use flare_lte::mobility::MobilityConfig;
@@ -53,10 +52,6 @@ pub enum ChannelKind {
     /// Vehicular random-waypoint mobility with shadowing — the ns-3 mobile
     /// scenarios ("trace based model").
     Mobile(MobilityConfig),
-    /// Replay recorded per-UE channel traces (CSV documents in
-    /// [`flare_lte::channel::TraceChannel::from_csv`] format). UE `i` plays
-    /// trace `i % len`; must be non-empty.
-    Traces(Vec<String>),
 }
 
 /// Which adaptation scheme controls the video flows.
@@ -71,9 +66,10 @@ pub enum SchemeKind {
     /// Ablation: the FLARE server assigns GBRs, but clients self-adapt with
     /// a rate-based controller instead of obeying the plugin — an
     /// AVIS-ified FLARE that demonstrates why dual enforcement matters.
-    FlareGbrOnly(FlareConfig),
+    /// Runs the Table IV [`FlareConfig::default`].
+    FlareGbrOnly,
     /// AVIS: network-side allocator setting GBR/MBR, rate-based clients.
-    Avis(AvisConfig),
+    Avis,
 }
 
 impl SchemeKind {
@@ -86,8 +82,8 @@ impl SchemeKind {
             // (versioned assignments, fallback plugin, GBR leases).
             SchemeKind::Flare(fc) if fc.robustness.is_some() => "FLARE-R",
             SchemeKind::Flare(_) => "FLARE",
-            SchemeKind::FlareGbrOnly(_) => "FLARE-GBR-ONLY",
-            SchemeKind::Avis(_) => "AVIS",
+            SchemeKind::FlareGbrOnly => "FLARE-GBR-ONLY",
+            SchemeKind::Avis => "AVIS",
         }
     }
 }
@@ -144,13 +140,6 @@ pub struct SimConfig {
     /// other data traffic, with no bitrate guarantees. Only meaningful when
     /// the scheme is FLARE; ignored otherwise.
     pub legacy_video: usize,
-    /// Transport-layer request jitter: each segment request reaches the
-    /// media path after a uniformly random delay in `[0, request_jitter]`
-    /// (seeded per UE). Zero models the ideal transport; a few hundred ms
-    /// approximates per-request HTTP/TCP variability (DNS, handshakes, slow
-    /// start), which is the noise source that destabilizes throughput-
-    /// estimating clients on real testbeds — see EXPERIMENTS.md.
-    pub request_jitter: TimeDelta,
     /// Control-plane fault model for coordinated (FLARE-family) schemes,
     /// whose statistics reports and assignments always travel through a
     /// [`flare_core::ControlPlane`]. Defaults to [`FaultModel::perfect`],
@@ -206,7 +195,6 @@ impl Default for SimConfigBuilder {
                 scheme: SchemeKind::Flare(FlareConfig::default()),
                 prefs: Vec::new(),
                 legacy_video: 0,
-                request_jitter: TimeDelta::ZERO,
                 faults: FaultModel::perfect(),
                 trace: TraceHandle::disabled(),
                 check_invariants: default_check_invariants(),
@@ -298,12 +286,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Sets the transport request jitter (maximum per-segment delay).
-    pub fn request_jitter(mut self, jitter: TimeDelta) -> Self {
-        self.config.request_jitter = jitter;
-        self
-    }
-
     /// Sets the fault model of the FLARE control plane (default: perfect).
     pub fn faults(mut self, faults: FaultModel) -> Self {
         self.config.faults = faults;
@@ -378,11 +360,8 @@ mod tests {
     fn scheme_names() {
         assert_eq!(SchemeKind::Festive.name(), "FESTIVE");
         assert_eq!(SchemeKind::Flare(FlareConfig::default()).name(), "FLARE");
-        assert_eq!(SchemeKind::Avis(AvisConfig::default()).name(), "AVIS");
-        assert_eq!(
-            SchemeKind::FlareGbrOnly(FlareConfig::default()).name(),
-            "FLARE-GBR-ONLY"
-        );
+        assert_eq!(SchemeKind::Avis.name(), "AVIS");
+        assert_eq!(SchemeKind::FlareGbrOnly.name(), "FLARE-GBR-ONLY");
         assert_eq!(
             SchemeKind::Flare(
                 FlareConfig::default().with_robustness(flare_core::RobustnessConfig::default())

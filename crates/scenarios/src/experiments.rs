@@ -695,11 +695,7 @@ pub fn ablation_dual_enforcement(p: ExperimentParams) -> DualEnforcementAblation
         )
     });
     let gbr_only = repeat(p.runs, p.seed, p.jobs, |s| {
-        mobile_run(
-            SchemeKind::FlareGbrOnly(flare_core::FlareConfig::default()),
-            s,
-            p.duration,
-        )
+        mobile_run(SchemeKind::FlareGbrOnly, s, p.duration)
     });
     let mean_underflow = |runs: &[RunResult]| {
         runs.iter()

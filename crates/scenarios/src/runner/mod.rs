@@ -11,7 +11,7 @@ use std::time::Duration;
 use flare_abr::CoordinationMode;
 use flare_harness::{InvariantSet, Observation};
 use flare_has::{Mpd, Player, PlayerStats};
-use flare_lte::channel::{ChannelModel, StaticChannel, TraceChannel, TriangleWave};
+use flare_lte::channel::{ChannelModel, StaticChannel, TriangleWave};
 use flare_lte::mobility::{snr_to_itbs, MobilityChannel, Position};
 use flare_lte::scheduler::{
     MacScheduler, PrioritySetScheduler, ProportionalFair, RoundRobin, StrictGbrPartition,
@@ -168,10 +168,6 @@ pub struct CellSim {
     data_flows: Vec<FlowId>,
     players: Vec<Player>,
     controller: Controller,
-    /// Per-UE RNG streams for transport request jitter.
-    jitter_rngs: Vec<rand::rngs::SmallRng>,
-    /// Segment payloads in transport flight: delivered to the cell at .0.
-    pending_requests: Vec<(Time, usize, ByteCount)>,
     /// Shared trace recorder: the user's handle when one was attached via
     /// [`SimConfig::trace`], otherwise an internal registry-only recorder
     /// so counters back [`RunResult::telemetry`] in every run.
@@ -249,9 +245,6 @@ impl CellSim {
             cells,
         );
 
-        let jitter_rngs = (0..config.n_video as u64)
-            .map(|ue| stream(config.seed, "jitter", ue))
-            .collect();
         for (i, player) in players.iter_mut().enumerate() {
             player.set_trace(trace.clone(), i as u64);
         }
@@ -272,8 +265,6 @@ impl CellSim {
             data_flows,
             players,
             controller,
-            jitter_rngs,
-            pending_requests: Vec::new(),
             trace,
             invariants,
             lease_watch,
@@ -322,14 +313,6 @@ impl CellSim {
                 stream(config.seed, "walk", ue),
                 stream(config.seed, "fade", ue),
             )),
-            ChannelKind::Traces(docs) => {
-                assert!(!docs.is_empty(), "trace channel list must be non-empty");
-                let doc = &docs[(ue as usize) % docs.len()];
-                Box::new(
-                    TraceChannel::from_csv(doc)
-                        .expect("trace documents must be valid (TraceChannel::from_csv)"),
-                )
-            }
         }
     }
 
@@ -523,40 +506,19 @@ impl CellStepper {
             let tti_start = Time::from_millis(ms);
             let tti_end = Time::from_millis(ms + 1);
 
-            // 1. Players play back 1 ms and may issue a segment request.
-            let jitter_ms = self.sim.config.request_jitter.as_millis();
+            // 1. Players play back 1 ms and may issue a segment request,
+            // whose bytes reach the eNodeB within the same TTI.
             for (i, player) in self.sim.players.iter_mut().enumerate() {
                 if let Some(req) = player.step(tti_end, TTI) {
-                    if jitter_ms == 0 {
-                        self.sim
-                            .enb
-                            .push_backlog(self.sim.video_flows[i], req.bytes);
-                    } else {
-                        // The request spends a transport-dependent time in
-                        // flight before bytes appear at the eNodeB.
-                        let delay = self.sim.jitter_rngs[i].gen_range(0..=jitter_ms);
-                        self.sim.pending_requests.push((
-                            tti_end + TimeDelta::from_millis(delay),
-                            i,
-                            req.bytes,
-                        ));
-                    }
+                    self.sim
+                        .enb
+                        .push_backlog(self.sim.video_flows[i], req.bytes);
                     self.rate_series[i].push(
                         tti_end.as_secs_f64(),
                         self.sim.config.ladder.rate(req.level).as_kbps(),
                     );
                 }
             }
-            // Requests due by the end of this TTI reach the eNodeB in issue
-            // order; the rest stay queued, in place, without allocating.
-            let (enb, video_flows) = (&mut self.sim.enb, &self.sim.video_flows);
-            self.sim.pending_requests.retain(|&(at, i, bytes)| {
-                let due = at <= tti_end;
-                if due {
-                    enb.push_backlog(video_flows[i], bytes);
-                }
-                !due
-            });
 
             // 2. One TTI of MAC scheduling and delivery. When invariants are
             // on, lease expiries performed inside the TTI are observed
@@ -781,7 +743,7 @@ mod tests {
 
     #[test]
     fn avis_run_caps_flows() {
-        let result = CellSim::new(base(SchemeKind::Avis(Default::default()))).run();
+        let result = CellSim::new(base(SchemeKind::Avis)).run();
         assert_eq!(result.scheme, "AVIS");
         assert!(result.videos.iter().all(|v| v.stats.segments > 0));
     }
@@ -812,84 +774,6 @@ mod tests {
             .build();
         let result = CellSim::new(config).run();
         assert!(result.videos[0].stats.segments > 0);
-    }
-
-    #[test]
-    fn request_jitter_destabilizes_estimating_clients_but_not_flare() {
-        // With per-request transport jitter, FESTIVE's throughput samples
-        // get noisy and its selections flap more; FLARE's plugin ignores
-        // client estimates entirely, so its stability budget is untouched.
-        let mk = |scheme: SchemeKind, jitter_ms: u64| {
-            let cfg = SimConfig::builder()
-                .seed(13)
-                .duration(TimeDelta::from_secs(400))
-                .videos(4)
-                .data_flows(0)
-                .channel(ChannelKind::Static { itbs: 6 })
-                .request_jitter(TimeDelta::from_millis(jitter_ms))
-                .scheme(scheme)
-                .build();
-            CellSim::new(cfg).run()
-        };
-        let festive_ideal = mk(SchemeKind::Festive, 0);
-        let festive_jitter = mk(SchemeKind::Festive, 1500);
-        assert!(
-            festive_jitter.average_bitrate_changes() >= festive_ideal.average_bitrate_changes(),
-            "jitter should not stabilize FESTIVE: {} vs {}",
-            festive_jitter.average_bitrate_changes(),
-            festive_ideal.average_bitrate_changes()
-        );
-        let flare_ideal = mk(SchemeKind::Flare(FlareConfig::default()), 0);
-        let flare_jitter = mk(SchemeKind::Flare(FlareConfig::default()), 1500);
-        assert!(
-            flare_jitter.average_bitrate_changes() <= flare_ideal.average_bitrate_changes() + 1.0,
-            "FLARE must stay stable under jitter: {} vs {}",
-            flare_jitter.average_bitrate_changes(),
-            flare_ideal.average_bitrate_changes()
-        );
-        // And jittered FLARE still never stalls (GBR pacing absorbs it).
-        assert_eq!(flare_jitter.average_underflow_secs(), 0.0);
-    }
-
-    #[test]
-    fn recorded_traces_replay_identically_to_live_mobility() {
-        use flare_lte::mobility::generate_trace;
-        use flare_sim::rng::stream;
-
-        // Record each UE's live mobility process to CSV, then run the same
-        // scenario once live and once from the recorded traces: identical
-        // channels must produce identical results.
-        let mc = MobilityConfig::default();
-        let n = 3usize;
-        let seed = 6;
-        let duration = TimeDelta::from_secs(90);
-        let docs: Vec<String> = (0..n as u64)
-            .map(|ue| {
-                generate_trace(
-                    &mc,
-                    duration,
-                    stream(seed, "walk", ue),
-                    stream(seed, "fade", ue),
-                )
-                .to_csv()
-            })
-            .collect();
-        let mk = |channel: ChannelKind| {
-            SimConfig::builder()
-                .seed(seed)
-                .duration(duration)
-                .videos(n)
-                .data_flows(0)
-                .channel(channel)
-                .scheme(SchemeKind::Festive)
-                .build()
-        };
-        let live = CellSim::new(mk(ChannelKind::Mobile(mc.clone()))).run();
-        let replay = CellSim::new(mk(ChannelKind::Traces(docs))).run();
-        for (a, b) in live.videos.iter().zip(&replay.videos) {
-            assert_eq!(a.rate_series.points(), b.rate_series.points());
-            assert_eq!(a.throughput_series.points(), b.throughput_series.points());
-        }
     }
 
     #[test]
@@ -929,7 +813,7 @@ mod tests {
     #[test]
     fn gbr_only_flare_obeys_the_fault_model() {
         let run = |faults| {
-            let mut cfg = base(SchemeKind::FlareGbrOnly(FlareConfig::default()));
+            let mut cfg = base(SchemeKind::FlareGbrOnly);
             cfg.faults = faults;
             CellSim::new(cfg)
                 .run()
@@ -987,8 +871,8 @@ mod tests {
             SchemeKind::Festive,
             SchemeKind::Google,
             SchemeKind::Flare(FlareConfig::default()),
-            SchemeKind::FlareGbrOnly(FlareConfig::default()),
-            SchemeKind::Avis(Default::default()),
+            SchemeKind::FlareGbrOnly,
+            SchemeKind::Avis,
         ] {
             let name = scheme.name();
             let result = CellSim::new(base_checked(scheme)).run();

@@ -155,7 +155,7 @@ pub(super) fn player_adapter(
         SchemeKind::Festive => Box::new(Festive::default()),
         SchemeKind::Google => Box::new(Google::default()),
         SchemeKind::Flare(_) => cells.plugin(),
-        SchemeKind::FlareGbrOnly(_) | SchemeKind::Avis(_) => Box::new(RateBased::default()),
+        SchemeKind::FlareGbrOnly | SchemeKind::Avis => Box::new(RateBased::default()),
     }
 }
 
@@ -168,35 +168,34 @@ pub(super) fn build_controller(
     coordinated: usize,
     cells: MsgCells,
 ) -> Controller {
-    match &config.scheme {
-        SchemeKind::Festive | SchemeKind::Google => Controller::None,
-        SchemeKind::Flare(fc) | SchemeKind::FlareGbrOnly(fc) => {
-            let mut server = OneApiServer::new(fc.clone().with_bai(config.bai));
-            server.set_trace(trace.clone());
-            for (i, &flow) in video_flows.iter().enumerate().take(coordinated) {
-                let mut info = ClientInfo::new(flow, config.ladder.clone());
-                if let Some(Some(prefs)) = config.prefs.get(i) {
-                    info = info.with_prefs(prefs.clone());
-                }
-                server.register_video(info);
-            }
-            // Legacy players are serviced like data: registered at the
-            // PCRF as best-effort flows, never assigned a GBR.
-            for &flow in video_flows.iter().skip(coordinated) {
-                server.register_data(flow);
-            }
-            for &flow in data_flows {
-                server.register_data(flow);
-            }
-            Controller::FlareMsg {
-                server,
-                control: ControlPlane::new(config.faults.clone(), config.seed)
-                    .with_trace(trace.clone()),
-                cells,
-                latest_report: None,
-            }
+    let fc = match &config.scheme {
+        SchemeKind::Festive | SchemeKind::Google => return Controller::None,
+        SchemeKind::Avis => return Controller::Avis(AvisAllocator::default()),
+        SchemeKind::Flare(fc) => fc.clone(),
+        SchemeKind::FlareGbrOnly => FlareConfig::default(),
+    };
+    let mut server = OneApiServer::new(fc);
+    server.set_trace(trace.clone());
+    for (i, &flow) in video_flows.iter().enumerate().take(coordinated) {
+        let mut info = ClientInfo::new(flow, config.ladder.clone());
+        if let Some(Some(prefs)) = config.prefs.get(i) {
+            info = info.with_prefs(prefs.clone());
         }
-        SchemeKind::Avis(ac) => Controller::Avis(AvisAllocator::new(ac.clone())),
+        server.register_video(info);
+    }
+    // Legacy players are serviced like data: registered at the PCRF as
+    // best-effort flows, never assigned a GBR.
+    for &flow in video_flows.iter().skip(coordinated) {
+        server.register_data(flow);
+    }
+    for &flow in data_flows {
+        server.register_data(flow);
+    }
+    Controller::FlareMsg {
+        server,
+        control: ControlPlane::new(config.faults.clone(), config.seed).with_trace(trace.clone()),
+        cells,
+        latest_report: None,
     }
 }
 
@@ -260,7 +259,7 @@ impl CellSim {
                     // Client and PCEF share the versioned view: a stale
                     // assignment neither moves the plugin nor touches QoS.
                     let prev_seq = cs[idx].seq();
-                    let accepted = cs[idx].install(a.seq, a.issued_ms, level);
+                    let accepted = cs[idx].install(a.seq, level);
                     if let Some(inv) = self.invariants.as_mut() {
                         inv.observe(
                             now,
@@ -330,7 +329,7 @@ impl CellSim {
                     };
                     let solved_on = latest_report.take();
                     let msgs = if let MsgCells::Versioned(..) = cells {
-                        server.bai_tick(now, solved_on.as_ref(), la, rbs)
+                        server.bai_tick(now, solved_on.as_ref(), self.config.bai, la, rbs)
                     } else {
                         solved_on.as_ref().map_or_else(Vec::new, |r| {
                             server

@@ -44,12 +44,6 @@ fn player_config(scheme: &SchemeKind, google_threshold_secs: u64) -> PlayerConfi
     }
 }
 
-/// The FLARE configuration used on the femtocell: Table IV parameters with
-/// the testbed's 2-second BAI.
-pub fn flare_config() -> FlareConfig {
-    FlareConfig::default().with_bai(segment())
-}
-
 /// Builds the static-scenario configuration (iTbs pinned at 2) for a
 /// scheme.
 pub fn static_config(scheme: SchemeKind, seed: u64, duration: TimeDelta) -> SimConfig {
@@ -107,7 +101,7 @@ pub fn schemes() -> Vec<SchemeKind> {
     vec![
         SchemeKind::Festive,
         SchemeKind::Google,
-        SchemeKind::Flare(flare_config()),
+        SchemeKind::Flare(FlareConfig::default()),
     ]
 }
 
@@ -126,7 +120,7 @@ mod tests {
 
     #[test]
     fn static_flare_converges_to_one_level() {
-        let r = short(SchemeKind::Flare(flare_config()), false);
+        let r = short(SchemeKind::Flare(FlareConfig::default()), false);
         // After the conservative ramp, FLARE should sit on a single level:
         // very few changes in the steady half of the run.
         for v in &r.videos {
@@ -149,7 +143,7 @@ mod tests {
     #[test]
     fn static_festive_is_less_stable_than_flare() {
         let festive = short(SchemeKind::Festive, false);
-        let flare = short(SchemeKind::Flare(flare_config()), false);
+        let flare = short(SchemeKind::Flare(FlareConfig::default()), false);
         assert!(
             festive.average_bitrate_changes() >= flare.average_bitrate_changes(),
             "festive {} vs flare {}",
@@ -174,7 +168,7 @@ mod tests {
 
     #[test]
     fn dynamic_scenario_tracks_the_channel() {
-        let r = short(SchemeKind::Flare(flare_config()), true);
+        let r = short(SchemeKind::Flare(FlareConfig::default()), true);
         // Under the triangle sweep the selected rates must actually vary.
         let v = &r.videos[0];
         let distinct: std::collections::HashSet<u64> = v

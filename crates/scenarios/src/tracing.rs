@@ -87,9 +87,7 @@ fn representative_config(experiment: &str, p: &ExperimentParams) -> Option<SimCo
             p.duration,
         ),
         "fig10" => static_cell(flare, 4, 4),
-        "ablation" | "partition" | "diversity" => {
-            static_cell(SchemeKind::FlareGbrOnly(FlareConfig::default()), 8, 0)
-        }
+        "ablation" | "partition" | "diversity" => static_cell(SchemeKind::FlareGbrOnly, 8, 0),
         "legacy" => {
             let mut cfg = static_cell(flare, 8, 0);
             cfg.legacy_video = 2;

@@ -35,18 +35,18 @@ impl Rate {
     /// # Panics
     ///
     /// Panics in debug builds if `bps` is negative or NaN.
-    pub fn from_bps(bps: f64) -> Self {
+    pub const fn from_bps(bps: f64) -> Self {
         debug_assert!(bps >= 0.0 && !bps.is_nan(), "rate must be non-negative");
         Rate(bps)
     }
 
     /// Creates a rate from kilobits per second.
-    pub fn from_kbps(kbps: f64) -> Self {
+    pub const fn from_kbps(kbps: f64) -> Self {
         Rate::from_bps(kbps * 1e3)
     }
 
     /// Creates a rate from megabits per second.
-    pub fn from_mbps(mbps: f64) -> Self {
+    pub const fn from_mbps(mbps: f64) -> Self {
         Rate::from_bps(mbps * 1e6)
     }
 

@@ -140,27 +140,21 @@ fn main() {
     // Setup and BAI boundaries (solves, assignment installs, control
     // messages) may allocate; per-TTI stepping may not. `CellSim::run` and
     // the benchmark's traced run drive exactly this path. The gates cover
-    // the video-only cell, the loaded fig. 10 mix, requests delayed in
-    // transport, and the mobile FLARE-R cell under message loss, whose
-    // leases and moving channels take the deadline-driven idle path.
-    let stepper_cell = |n_data: usize, jitter_ms: u64| {
-        let mut config = cell_config(
+    // the video-only cell, the loaded fig. 10 mix, and the mobile FLARE-R
+    // cell under message loss, whose leases and moving channels take the
+    // deadline-driven idle path.
+    let stepper_cell = |n_data: usize| {
+        cell_config(
             SchemeKind::Flare(FlareConfig::default()),
             ChannelKind::StationaryRandom(MobilityConfig::default()),
             8,
             n_data,
             1,
             TimeDelta::from_secs(40),
-        );
-        config.request_jitter = TimeDelta::from_millis(jitter_ms);
-        config
+        )
     };
-    stepper_gate("8 video + 0 data", stepper_cell(0, 0));
-    stepper_gate("8 video + 8 data", stepper_cell(8, 0));
-    stepper_gate(
-        "8 video + 8 data, 50 ms request jitter",
-        stepper_cell(8, 50),
-    );
+    stepper_gate("8 video + 0 data", stepper_cell(0));
+    stepper_gate("8 video + 8 data", stepper_cell(8));
     stepper_gate(
         "8 mobile video, FLARE-R, 20% control loss",
         SimConfig::builder()

@@ -29,7 +29,7 @@ fn throughput_never_exceeds_cell_capacity() {
         SchemeKind::Festive,
         SchemeKind::Google,
         SchemeKind::Flare(FlareConfig::default()),
-        SchemeKind::Avis(Default::default()),
+        SchemeKind::Avis,
     ] {
         let r = CellSim::new(sim(scheme, 8, 2, 1, 120)).run();
         let total: f64 = r
@@ -93,8 +93,8 @@ fn all_schemes_make_playback_progress() {
         SchemeKind::Festive,
         SchemeKind::Google,
         SchemeKind::Flare(FlareConfig::default()),
-        SchemeKind::FlareGbrOnly(FlareConfig::default()),
-        SchemeKind::Avis(Default::default()),
+        SchemeKind::FlareGbrOnly,
+        SchemeKind::Avis,
     ] {
         let name = scheme.name();
         let r = CellSim::new(sim(scheme, 10, 2, 0, 120)).run();
@@ -129,7 +129,7 @@ fn whole_stack_is_deterministic() {
     for scheme in [
         SchemeKind::Festive,
         SchemeKind::Flare(FlareConfig::default()),
-        SchemeKind::Avis(Default::default()),
+        SchemeKind::Avis,
     ] {
         assert_eq!(
             run(scheme.clone()),

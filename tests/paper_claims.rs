@@ -27,9 +27,7 @@ fn claim_flare_is_most_stable_in_static_cells() {
     let flare = repeat(RUNS, 1, 2, |s| {
         static_run(SchemeKind::Flare(FlareConfig::default()), s, SHORT)
     });
-    let avis = repeat(RUNS, 1, 2, |s| {
-        static_run(SchemeKind::Avis(Default::default()), s, SHORT)
-    });
+    let avis = repeat(RUNS, 1, 2, |s| static_run(SchemeKind::Avis, s, SHORT));
     let festive = repeat(RUNS, 1, 2, |s| static_run(SchemeKind::Festive, s, SHORT));
 
     let f = mean(&pooled_changes(&flare));
@@ -65,9 +63,7 @@ fn claim_flare_beats_avis_in_mobile_cells() {
     let flare = repeat(RUNS, 5, 2, |s| {
         mobile_run(SchemeKind::Flare(FlareConfig::default()), s, SHORT)
     });
-    let avis = repeat(RUNS, 5, 2, |s| {
-        mobile_run(SchemeKind::Avis(Default::default()), s, SHORT)
-    });
+    let avis = repeat(RUNS, 5, 2, |s| mobile_run(SchemeKind::Avis, s, SHORT));
 
     assert!(
         mean(&pooled_changes(&flare)) <= mean(&pooled_changes(&avis)) + 2.0,
@@ -101,7 +97,7 @@ fn claim_google_rebuffers_or_overreaches_in_the_testbed() {
     // but pays for its aggressiveness in stability and/or stalls.
     let google = testbed::run_static(SchemeKind::Google, 2);
     let festive = testbed::run_static(SchemeKind::Festive, 2);
-    let flare = testbed::run_static(SchemeKind::Flare(testbed::flare_config()), 2);
+    let flare = testbed::run_static(SchemeKind::Flare(FlareConfig::default()), 2);
     assert!(
         google.average_video_rate_kbps() >= festive.average_video_rate_kbps(),
         "google {:.0} vs festive {:.0}",
@@ -120,9 +116,9 @@ fn claim_google_rebuffers_or_overreaches_in_the_testbed() {
 fn claim_flare_never_underflows_in_the_testbed() {
     for dynamic in [false, true] {
         let r = if dynamic {
-            testbed::run_dynamic(SchemeKind::Flare(testbed::flare_config()), 3)
+            testbed::run_dynamic(SchemeKind::Flare(FlareConfig::default()), 3)
         } else {
-            testbed::run_static(SchemeKind::Flare(testbed::flare_config()), 3)
+            testbed::run_static(SchemeKind::Flare(FlareConfig::default()), 3)
         };
         assert_eq!(
             r.average_underflow_secs(),
@@ -169,7 +165,7 @@ fn claim_fairness_is_uniformly_high() {
     for (scheme, floor) in [
         (SchemeKind::Flare(FlareConfig::default()), 0.7),
         (SchemeKind::Festive, 0.7),
-        (SchemeKind::Avis(Default::default()), 0.35),
+        (SchemeKind::Avis, 0.35),
     ] {
         let runs = repeat(RUNS, 9, 2, |s| static_run(scheme.clone(), s, SHORT));
         let jain = flare_scenarios::cell::mean_jain(&runs);

@@ -208,7 +208,7 @@ fn dropped_assignments_trigger_fallback_and_hysteresis_rejoins() {
     };
 
     // Fresh assignment: obeyed verbatim.
-    cell.install(1, 0, Level::new(3));
+    cell.install(1, Level::new(3));
     cell.end_bai();
     assert_eq!(cell.mode(), CoordinationMode::Coordinated);
     assert_eq!(plugin.next_level(&ctx), Level::new(3));
@@ -230,11 +230,11 @@ fn dropped_assignments_trigger_fallback_and_hysteresis_rejoins() {
     );
 
     // One fresh assignment is not enough to rejoin (hysteresis)…
-    cell.install(2, 40_000, Level::new(4));
+    cell.install(2, Level::new(4));
     cell.end_bai();
     assert_eq!(cell.mode(), CoordinationMode::Fallback);
     // …a second consecutive fresh BAI restores coordination.
-    cell.install(3, 50_000, Level::new(4));
+    cell.install(3, Level::new(4));
     cell.end_bai();
     assert_eq!(cell.mode(), CoordinationMode::Coordinated);
     assert_eq!(plugin.next_level(&ctx), Level::new(4));
@@ -356,7 +356,7 @@ proptest! {
     ) {
         let cell = VersionedAssignment::new(1, 1);
         let mut plugin = ResilientPlugin::new(cell.clone());
-        cell.install(1, 0, Level::new(cap));
+        cell.install(1, Level::new(cap));
         cell.end_bai(); // consumes the install as fresh
         cell.end_bai(); // silent -> stale -> fallback
         prop_assert_eq!(cell.mode(), CoordinationMode::Fallback);
