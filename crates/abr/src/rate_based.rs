@@ -17,23 +17,15 @@ pub struct RateBased {
     estimator: HarmonicMean,
 }
 
-impl RateBased {
-    /// Creates the controller with the given estimation window (segments).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    pub fn new(window: usize) -> Self {
-        RateBased {
-            estimator: HarmonicMean::new(window),
-        }
-    }
-}
+/// Estimation window in segments: short and reactive, as the AVIS client is
+/// described.
+const WINDOW: usize = 5;
 
 impl Default for RateBased {
-    /// A 5-segment window: reactive, as the AVIS client is described.
     fn default() -> Self {
-        RateBased::new(5)
+        RateBased {
+            estimator: HarmonicMean::new(WINDOW),
+        }
     }
 }
 

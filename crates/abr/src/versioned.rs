@@ -9,9 +9,9 @@
 //! [`VersionedAssignment`] fixes both: installs carry the server's BAI
 //! sequence number and are rejected unless they advance it, and the cell
 //! runs the client's coordination-state machine — counting BAIs since the
-//! last fresh assignment, switching to fallback after a configurable
-//! staleness threshold, and rejoining only after a hysteresis streak of
-//! fresh assignments.
+//! last fresh assignment, switching to fallback after
+//! [`VersionedAssignment::STALE_BAIS`] of them, and rejoining only after a
+//! hysteresis streak of [`VersionedAssignment::REJOIN_BAIS`] fresh ones.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -19,15 +19,16 @@ use std::rc::Rc;
 use flare_has::Level;
 
 /// Whether the client currently trusts network coordination.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CoordinationMode {
     /// Assignments are fresh; the plugin obeys them verbatim.
+    #[default]
     Coordinated,
     /// Assignments have gone stale; the plugin self-adapts conservatively.
     Fallback,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct State {
     level: Option<Level>,
     seq: Option<u64>,
@@ -35,8 +36,6 @@ struct State {
     bais_since_fresh: u32,
     fresh_streak: u32,
     installed_this_bai: bool,
-    stale_bais: u32,
-    rejoin_bais: u32,
 }
 
 /// A shared cell carrying the most recent *non-stale* assignment plus the
@@ -45,32 +44,22 @@ struct State {
 /// The harness holds one clone (installing delivered assignments, ticking
 /// BAI boundaries with [`VersionedAssignment::end_bai`]); the plugin holds
 /// the other (reading the level and the current [`CoordinationMode`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct VersionedAssignment {
     inner: Rc<RefCell<State>>,
 }
 
 impl VersionedAssignment {
-    /// An empty cell: fall back after `stale_bais` BAIs without a fresh
-    /// assignment, rejoin after `rejoin_bais` consecutive fresh ones.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stale_bais` is zero.
-    pub fn new(stale_bais: u32, rejoin_bais: u32) -> Self {
-        assert!(stale_bais > 0, "stale threshold must be at least one BAI");
-        VersionedAssignment {
-            inner: Rc::new(RefCell::new(State {
-                level: None,
-                seq: None,
-                mode: CoordinationMode::Coordinated,
-                bais_since_fresh: 0,
-                fresh_streak: 0,
-                installed_this_bai: false,
-                stale_bais,
-                rejoin_bais,
-            })),
-        }
+    /// BAIs without a fresh assignment before the client falls back to its
+    /// local conservative policy (`k` in DESIGN.md §8).
+    pub const STALE_BAIS: u32 = 3;
+    /// Consecutive BAIs with fresh assignments required before a client in
+    /// fallback rejoins coordination (hysteresis against flapping).
+    pub const REJOIN_BAIS: u32 = 2;
+
+    /// An empty, coordinated cell.
+    pub fn new() -> Self {
+        VersionedAssignment::default()
     }
 
     /// Installs an assignment. Returns `true` if it advanced the cell's
@@ -96,13 +85,13 @@ impl VersionedAssignment {
             s.installed_this_bai = false;
             s.bais_since_fresh = 0;
             s.fresh_streak += 1;
-            if s.mode == CoordinationMode::Fallback && s.fresh_streak >= s.rejoin_bais {
+            if s.mode == CoordinationMode::Fallback && s.fresh_streak >= Self::REJOIN_BAIS {
                 s.mode = CoordinationMode::Coordinated;
             }
         } else {
             s.bais_since_fresh += 1;
             s.fresh_streak = 0;
-            if s.bais_since_fresh >= s.stale_bais {
+            if s.bais_since_fresh >= Self::STALE_BAIS {
                 s.mode = CoordinationMode::Fallback;
             }
         }
@@ -135,7 +124,7 @@ mod tests {
 
     #[test]
     fn installs_advance_and_stale_installs_reject() {
-        let cell = VersionedAssignment::new(3, 2);
+        let cell = VersionedAssignment::new();
         assert!(cell.install(1, Level::new(2)));
         assert!(cell.install(3, Level::new(4)));
         // A reordered seq-2 assignment arrives late: rejected, state kept.
@@ -154,50 +143,64 @@ mod tests {
 
     #[test]
     fn staleness_triggers_fallback_after_threshold() {
-        let cell = VersionedAssignment::new(3, 2);
+        let cell = VersionedAssignment::new();
         assert!(cell.install(1, Level::new(2)));
         cell.end_bai();
         assert_eq!(cell.mode(), CoordinationMode::Coordinated);
-        // Three silent BAIs -> fallback on the third.
-        cell.end_bai();
-        cell.end_bai();
+        // `k` silent BAIs -> fallback on the k-th.
+        for _ in 1..VersionedAssignment::STALE_BAIS {
+            cell.end_bai();
+        }
         assert_eq!(cell.mode(), CoordinationMode::Coordinated);
         cell.end_bai();
         assert_eq!(cell.mode(), CoordinationMode::Fallback);
-        assert_eq!(cell.bais_since_fresh(), 3);
+        assert_eq!(cell.bais_since_fresh(), VersionedAssignment::STALE_BAIS);
+    }
+
+    /// Runs silent BAIs on `cell` until it falls back.
+    fn go_stale(cell: &VersionedAssignment) {
+        for _ in 0..VersionedAssignment::STALE_BAIS {
+            cell.end_bai();
+        }
+        assert_eq!(cell.mode(), CoordinationMode::Fallback);
     }
 
     #[test]
     fn rejoin_needs_a_fresh_streak() {
-        let cell = VersionedAssignment::new(1, 2);
-        cell.end_bai();
-        assert_eq!(cell.mode(), CoordinationMode::Fallback);
-        // One fresh BAI is not enough (hysteresis)…
-        cell.install(1, Level::new(1));
-        cell.end_bai();
-        assert_eq!(cell.mode(), CoordinationMode::Fallback);
-        // …two consecutive fresh BAIs rejoin.
-        cell.install(2, Level::new(1));
+        let cell = VersionedAssignment::new();
+        go_stale(&cell);
+        // One fresh BAI short of the streak is not enough (hysteresis)…
+        let mut seq = 0;
+        for _ in 1..VersionedAssignment::REJOIN_BAIS {
+            seq += 1;
+            cell.install(seq, Level::new(1));
+            cell.end_bai();
+            assert_eq!(cell.mode(), CoordinationMode::Fallback);
+        }
+        // …the full streak of consecutive fresh BAIs rejoins.
+        cell.install(seq + 1, Level::new(1));
         cell.end_bai();
         assert_eq!(cell.mode(), CoordinationMode::Coordinated);
     }
 
     #[test]
     fn a_stale_install_does_not_count_as_fresh() {
-        let cell = VersionedAssignment::new(1, 1);
+        let cell = VersionedAssignment::new();
         cell.install(5, Level::new(1));
         cell.end_bai();
-        cell.end_bai(); // silent -> fallback
-        assert_eq!(cell.mode(), CoordinationMode::Fallback);
-        // A replayed old assignment must not rejoin the client.
-        assert!(!cell.install(5, Level::new(1)));
-        cell.end_bai();
+        go_stale(&cell);
+        // Replayed old assignments must not rejoin the client, however many
+        // BAIs they keep arriving.
+        for _ in 0..VersionedAssignment::REJOIN_BAIS {
+            assert!(!cell.install(5, Level::new(1)));
+            cell.end_bai();
+        }
         assert_eq!(cell.mode(), CoordinationMode::Fallback);
     }
 
     #[test]
     fn clones_share_state() {
-        let a = VersionedAssignment::new(3, 2);
+        let a = VersionedAssignment::new();
         let b = a.clone();
         a.install(1, Level::new(3));
         assert_eq!(b.level(), Some(Level::new(3)));

@@ -15,46 +15,31 @@ pub enum SolveMode {
     Relaxed,
 }
 
-/// Graceful-degradation parameters for an unreliable control plane.
+/// Selects FLARE-R: graceful degradation over an unreliable control plane.
 ///
-/// The paper assumes the OneAPI coordination loop is lossless; these knobs
-/// govern how each side degrades when statistics reports or assignments go
-/// missing (dropped, delayed, or lost to a server outage). All horizons are
-/// counted in BAIs, the loop's natural heartbeat, and must be at least one;
-/// `stats_aging` lies in `[0, 1]`. Override fields with a struct literal
-/// over [`RobustnessConfig::default`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RobustnessConfig {
-    /// Plugin: BAIs without a fresh assignment before it falls back to its
-    /// local conservative policy (`k`).
-    pub stale_bais: u32,
-    /// Plugin: consecutive BAIs with fresh assignments required before it
-    /// rejoins coordination (hysteresis against flapping).
-    pub rejoin_bais: u32,
+/// The paper assumes the OneAPI coordination loop is lossless; FLARE-R
+/// degrades when statistics reports or assignments go missing (dropped,
+/// delayed, or lost to a server outage). Its horizons are counted in BAIs,
+/// the loop's natural heartbeat, and are constants (DESIGN.md §8): the
+/// eNodeB and server ones below, and the plugin's
+/// [`flare_abr::VersionedAssignment::STALE_BAIS`] (`k`) and
+/// [`flare_abr::VersionedAssignment::REJOIN_BAIS`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RobustnessConfig;
+
+impl RobustnessConfig {
     /// eNodeB: a GBR installed by the server is a *lease* expiring after
     /// this many BAIs without renewal (`l`), returning the reservation to
     /// the proportional-fair pool.
-    pub lease_bais: u32,
+    pub const LEASE_BAIS: u32 = 3;
     /// Server: clients whose statistics have been missing for this many
     /// consecutive BAIs are evicted (`m`).
-    pub evict_bais: u32,
+    pub const EVICT_BAIS: u32 = 6;
     /// Server: per-missed-BAI decay applied to a client's last observed
-    /// link efficiency when its `(n_u, b_u)` counters are missing. Values
-    /// below 1 make the server progressively more conservative about
-    /// clients it cannot see.
-    pub stats_aging: f64,
-}
-
-impl Default for RobustnessConfig {
-    fn default() -> Self {
-        RobustnessConfig {
-            stale_bais: 3,
-            rejoin_bais: 2,
-            lease_bais: 3,
-            evict_bais: 6,
-            stats_aging: 0.7,
-        }
-    }
+    /// link efficiency when its `(n_u, b_u)` counters are missing. Below 1,
+    /// it makes the server progressively more conservative about clients it
+    /// cannot see.
+    pub const STATS_AGING: f64 = 0.7;
 }
 
 /// Parameters of FLARE's coordination algorithm.
@@ -155,11 +140,7 @@ mod tests {
     #[test]
     fn robustness_defaults_and_builders() {
         assert!(FlareConfig::default().robustness.is_none());
-        let r = RobustnessConfig {
-            lease_bais: 4,
-            ..RobustnessConfig::default()
-        };
-        let c = FlareConfig::default().with_robustness(r);
-        assert_eq!(c.robustness, Some(r));
+        let c = FlareConfig::default().with_robustness(RobustnessConfig);
+        assert_eq!(c.robustness, Some(RobustnessConfig));
     }
 }

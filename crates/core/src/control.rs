@@ -272,7 +272,7 @@ impl ControlPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flare_trace::TraceConfig;
+    use flare_trace::TraceLevel;
 
     fn report(end_ms: u64) -> IntervalReport {
         IntervalReport {
@@ -288,7 +288,6 @@ mod tests {
             level: 1,
             gbr_kbps: 500,
             seq,
-            issued_ms: seq * 10_000,
         }
     }
 
@@ -334,7 +333,7 @@ mod tests {
         // regularly arrive first. The debug `sent` events record each
         // message's drawn delay; polling every millisecond shows each one
         // arriving exactly when it falls due, never before.
-        let trace = TraceHandle::new(TraceConfig::debug());
+        let trace = TraceHandle::new(TraceLevel::Debug);
         let fm = FaultModel::perfect().with_jitter(TimeDelta::from_secs(25));
         let mut cp = ControlPlane::new(fm, 1).with_trace(trace.clone());
         let sends = 20u64;

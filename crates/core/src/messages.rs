@@ -8,17 +8,17 @@
 //! [`crate::OneApiServer::register_video`], and the eNodeB's statistics
 //! report is the MAC layer's [`flare_lte::IntervalReport`], carried as is
 //! over the [`crate::ControlPlane`]. Only the decision travels in its own
-//! format, [`AssignmentMsg`], in plain integers with explicit units (kbps,
-//! ms) so it is implementation-independent.
+//! format, [`AssignmentMsg`], in plain integers with explicit units (kbps)
+//! so it is implementation-independent.
 
 /// Server → plugin (and PCEF): the decision for one BAI.
 ///
-/// FLARE-R's assignments are *versioned*: `seq` counts the server's BAIs and
-/// `issued_ms` timestamps the decision. Receivers reject any assignment
-/// whose sequence number does not advance their view, so a message delayed
-/// by an unreliable control plane can never roll a client back to an older
-/// decision. The naive FLARE schemes send unversioned messages
-/// (`seq == 0`), converted from an [`crate::Assignment`].
+/// FLARE-R's assignments are *versioned*: `seq` counts the server's BAIs.
+/// Receivers reject any assignment whose sequence number does not advance
+/// their view, so a message delayed by an unreliable control plane can
+/// never roll a client back to an older decision. The naive FLARE schemes
+/// send unversioned messages (`seq == 0`), converted from an
+/// [`crate::Assignment`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AssignmentMsg {
     /// The video flow being assigned.
@@ -30,9 +30,6 @@ pub struct AssignmentMsg {
     /// The server's BAI sequence number at issue time (monotonic per
     /// server; receivers reject non-advancing values). 0 when unversioned.
     pub seq: u64,
-    /// When the server issued the decision, in ms since simulation start.
-    /// 0 when unversioned.
-    pub issued_ms: u64,
 }
 
 impl From<&crate::server::Assignment> for AssignmentMsg {
@@ -42,7 +39,6 @@ impl From<&crate::server::Assignment> for AssignmentMsg {
             level: a.level.index() as u32,
             gbr_kbps: a.rate.as_kbps().round() as u32,
             seq: 0,
-            issued_ms: 0,
         }
     }
 }
@@ -69,9 +65,8 @@ mod tests {
         assert_eq!(msg.level, 3);
         assert_eq!(msg.gbr_kbps, 790);
         // The plain conversion carries no version; FLARE-R's server stamps
-        // seq and issue time in `bai_tick`.
+        // seq in `bai_tick`.
         assert_eq!(msg.seq, 0);
-        assert_eq!(msg.issued_ms, 0);
         assert_eq!(msg, AssignmentMsg::from(&a));
     }
 }

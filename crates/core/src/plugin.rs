@@ -76,8 +76,8 @@ impl RateAdapter for FlarePlugin {
 /// * a thin buffer (< one segment) forces the lowest encoding outright.
 ///
 /// Rejoin hysteresis lives in the shared cell: coordination resumes only
-/// after `rejoin_bais` consecutive BAIs with fresh assignments, so a
-/// flapping control plane cannot whipsaw the player.
+/// after [`VersionedAssignment::REJOIN_BAIS`] consecutive BAIs with fresh
+/// assignments, so a flapping control plane cannot whipsaw the player.
 #[derive(Debug, Clone)]
 pub struct ResilientPlugin {
     assignment: VersionedAssignment,
@@ -198,6 +198,14 @@ mod tests {
     use flare_has::DownloadSample;
     use flare_sim::units::{ByteCount, Rate};
 
+    /// Runs silent BAIs on `cell` until the client falls back.
+    fn go_stale(cell: &VersionedAssignment) {
+        for _ in 0..VersionedAssignment::STALE_BAIS {
+            cell.end_bai();
+        }
+        assert_eq!(cell.mode(), CoordinationMode::Fallback);
+    }
+
     /// A download sample whose observed throughput is `rate`.
     fn sample(rate: Rate) -> DownloadSample {
         let elapsed = TimeDelta::from_secs(1);
@@ -212,7 +220,7 @@ mod tests {
     #[test]
     fn resilient_follows_assignments_while_coordinated() {
         let ladder = BitrateLadder::testbed();
-        let cell = VersionedAssignment::new(3, 2);
+        let cell = VersionedAssignment::new();
         let mut plugin = ResilientPlugin::new(cell.clone());
         assert_eq!(plugin.next_level(&ctx(&ladder)), ladder.lowest());
         cell.install(1, Level::new(4));
@@ -222,27 +230,26 @@ mod tests {
     #[test]
     fn fallback_caps_at_last_assigned_level() {
         let ladder = BitrateLadder::testbed();
-        let cell = VersionedAssignment::new(1, 1);
+        let cell = VersionedAssignment::new();
         let mut plugin = ResilientPlugin::new(cell.clone());
         cell.install(1, Level::new(2));
         cell.end_bai();
         // Plenty of measured throughput — without the cap this would pick a
         // high level.
         plugin.on_download_complete(sample(ladder.rate(ladder.highest())));
-        cell.end_bai(); // silent -> fallback
-        assert_eq!(cell.mode(), CoordinationMode::Fallback);
+        go_stale(&cell);
         assert!(plugin.next_level(&ctx(&ladder)) <= Level::new(2));
     }
 
     #[test]
     fn fallback_respects_estimator_below_cap() {
         let ladder = BitrateLadder::testbed();
-        let cell = VersionedAssignment::new(1, 1);
+        let cell = VersionedAssignment::new();
         let mut plugin = ResilientPlugin::new(cell.clone());
         cell.install(1, ladder.highest());
         cell.end_bai();
-        cell.end_bai(); // silent -> fallback
-                        // Throughput only supports a bit more than the lowest encoding.
+        go_stale(&cell);
+        // Throughput only supports a bit more than the lowest encoding.
         let low = ladder.rate(Level::new(1));
         plugin.on_download_complete(sample(low));
         let picked = plugin.next_level(&ctx(&ladder));
@@ -252,11 +259,11 @@ mod tests {
     #[test]
     fn fallback_with_thin_buffer_streams_lowest() {
         let ladder = BitrateLadder::testbed();
-        let cell = VersionedAssignment::new(1, 1);
+        let cell = VersionedAssignment::new();
         let mut plugin = ResilientPlugin::new(cell.clone());
         cell.install(1, ladder.highest());
         cell.end_bai();
-        cell.end_bai(); // silent -> fallback
+        go_stale(&cell);
         plugin.on_download_complete(sample(ladder.rate(ladder.highest())));
         let mut c = ctx(&ladder);
         c.buffer_level = TimeDelta::from_secs(3); // < one 10 s segment
@@ -266,11 +273,11 @@ mod tests {
     #[test]
     fn fallback_without_estimate_streams_lowest() {
         let ladder = BitrateLadder::testbed();
-        let cell = VersionedAssignment::new(1, 1);
+        let cell = VersionedAssignment::new();
         let mut plugin = ResilientPlugin::new(cell.clone());
         cell.install(1, ladder.highest());
         cell.end_bai();
-        cell.end_bai(); // silent -> fallback
+        go_stale(&cell);
         assert_eq!(plugin.next_level(&ctx(&ladder)), ladder.lowest());
     }
 }

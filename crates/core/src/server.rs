@@ -12,7 +12,7 @@ use flare_trace::{Category, TraceHandle};
 use crate::algorithm::{StabilityFilter, StabilityState};
 use crate::client::ClientInfo;
 use crate::clock::{SolveClock, WallClock};
-use crate::config::{FlareConfig, SolveMode};
+use crate::config::{FlareConfig, RobustnessConfig, SolveMode};
 use crate::messages::AssignmentMsg;
 use crate::pcrf::PcrfRegistry;
 
@@ -192,14 +192,13 @@ impl OneApiServer {
     /// * clients missing from it (or the whole report, when `None`) reuse
     ///   their previous `(n_u, b_u)` observation, exponentially aged so the
     ///   server grows conservative about flows it cannot see;
-    /// * clients silent for `evict_bais` consecutive BAIs are evicted and
-    ///   deregistered from the PCRF.
+    /// * clients silent for [`RobustnessConfig::EVICT_BAIS`] consecutive
+    ///   BAIs are evicted and deregistered from the PCRF.
     ///
-    /// Assignments carry the server's BAI sequence number and `now`, so
-    /// receivers can reject stale or reordered deliveries. `bai` sizes the
-    /// RB budget when no report arrived; otherwise the report's own
-    /// interval does. The robustness parameters come from the config's
-    /// [`crate::RobustnessConfig`] (defaults apply if none was set).
+    /// Assignments carry the server's BAI sequence number, so receivers can
+    /// reject stale or reordered deliveries; trace events are stamped with
+    /// `now`. `bai` sizes the RB budget when no report arrived; otherwise
+    /// the report's own interval does.
     pub fn bai_tick(
         &mut self,
         now: Time,
@@ -208,7 +207,6 @@ impl OneApiServer {
         la: &LinkAdaptation,
         rbs_per_tti: u32,
     ) -> Vec<AssignmentMsg> {
-        let r = self.config.robustness.unwrap_or_default();
         self.seq += 1;
         let seq = self.seq;
         // An empty interval carries no usable counters.
@@ -224,7 +222,7 @@ impl OneApiServer {
                 None => {
                     client.silent_bais += 1;
                     if let Some(b) = client.cached_bits_per_rb.as_mut() {
-                        *b = (*b * r.stats_aging).max(1.0);
+                        *b = (*b * RobustnessConfig::STATS_AGING).max(1.0);
                     }
                 }
             }
@@ -234,11 +232,12 @@ impl OneApiServer {
         let evicted: Vec<FlowId> = self
             .clients
             .iter()
-            .filter(|c| c.silent_bais >= r.evict_bais)
+            .filter(|c| c.silent_bais >= RobustnessConfig::EVICT_BAIS)
             .map(|c| c.info.flow())
             .collect();
         if !evicted.is_empty() {
-            self.clients.retain(|c| c.silent_bais < r.evict_bais);
+            self.clients
+                .retain(|c| c.silent_bais < RobustnessConfig::EVICT_BAIS);
             for flow in &evicted {
                 self.pcrf.deregister(*flow);
                 self.trace.record(now, Category::Solver, "evict", |e| {
@@ -262,10 +261,9 @@ impl OneApiServer {
             .iter()
             .map(|c| Some(c.cached_bits_per_rb.unwrap_or(floor)))
             .collect();
-        let issued_ms = now.as_millis();
-        self.solve_clients(issued_ms, bai_secs, total_rbs, &obs)
+        self.solve_clients(now.as_millis(), bai_secs, total_rbs, &obs)
             .into_iter()
-            .map(|(ci, level)| self.assignment_msg(ci, level, seq, issued_ms))
+            .map(|(ci, level)| self.assignment_msg(ci, level, seq))
             .collect()
     }
 
@@ -280,14 +278,13 @@ impl OneApiServer {
             .max(1.0)
     }
 
-    fn assignment_msg(&self, ci: usize, level: Level, seq: u64, issued_ms: u64) -> AssignmentMsg {
+    fn assignment_msg(&self, ci: usize, level: Level, seq: u64) -> AssignmentMsg {
         let client = &self.clients[ci];
         AssignmentMsg {
             flow_id: client.info.flow().index() as u32,
             level: level.index() as u32,
             gbr_kbps: client.info.ladder().rate(level).as_kbps().round() as u32,
             seq,
-            issued_ms,
         }
     }
 
@@ -702,14 +699,11 @@ mod tests {
     /// The BAI `bai_tick` falls back to when a report is missing.
     const BAI: flare_sim::TimeDelta = flare_sim::TimeDelta::from_secs(10);
 
-    use crate::RobustnessConfig;
-    use flare_trace::TraceHandle;
+    use flare_trace::{TraceHandle, TraceLevel};
 
     fn servers(videos: &[FlowId]) -> (OneApiServer, OneApiServer) {
         let mk = || {
-            let mut s = OneApiServer::new(
-                FlareConfig::default().with_robustness(RobustnessConfig::default()),
-            );
+            let mut s = OneApiServer::new(FlareConfig::default().with_robustness(RobustnessConfig));
             for &v in videos {
                 s.register_video(ClientInfo::new(v, BitrateLadder::testbed()));
             }
@@ -757,22 +751,30 @@ mod tests {
     fn bai_tick_stamps_monotonic_seq_and_issue_time() {
         let (mut enb, videos, _) = cell(1, 0, 10);
         let (_, mut server) = servers(&videos);
+        let trace = TraceHandle::new(TraceLevel::Info);
+        server.set_trace(trace.clone());
         let report = run_bai(&mut enb, 0);
         let la = enb.link_adaptation().clone();
         let first = server.bai_tick(Time::from_secs(10), Some(&report), BAI, &la, 50);
         let second = server.bai_tick(Time::from_secs(20), None, BAI, &la, 50);
         assert_eq!(first[0].seq, 1);
         assert_eq!(second[0].seq, 2);
-        assert_eq!(first[0].issued_ms, 10_000);
-        assert_eq!(second[0].issued_ms, 20_000);
         assert_eq!(server.seq, 2);
+        // The issue time is the solve event's timestamp.
+        let solves: Vec<u64> = trace
+            .events()
+            .iter()
+            .filter(|e| e.name == "solve")
+            .map(|e| e.time_ms)
+            .collect();
+        assert_eq!(solves, [10_000, 20_000]);
     }
 
     #[test]
     fn silent_clients_are_served_from_aged_cache_then_evicted() {
         let (mut enb, videos, _) = cell(2, 0, 10);
-        let r = RobustnessConfig::default();
-        let mut server = OneApiServer::new(FlareConfig::default().with_robustness(r));
+        let mut server =
+            OneApiServer::new(FlareConfig::default().with_robustness(RobustnessConfig));
         let trace = TraceHandle::registry_only();
         server.set_trace(trace.clone());
         for &v in &videos {
@@ -786,7 +788,7 @@ mod tests {
         // From here on, flow 1 goes silent: reports only cover flow 0.
         let partial = only_flow(&full, videos[0]);
         let mut now = Time::from_secs(10);
-        for i in 1..r.evict_bais {
+        for i in 1..RobustnessConfig::EVICT_BAIS {
             now += flare_sim::TimeDelta::from_secs(10);
             let msgs = server.bai_tick(now, Some(&partial), BAI, &la, 50);
             assert_eq!(
@@ -808,44 +810,41 @@ mod tests {
 
     #[test]
     fn aging_makes_the_server_conservative_about_silent_clients() {
-        // One client with a good cached observation goes silent while the
-        // other keeps reporting; aging shrinks the silent client's weight
-        // so its level must never rise while silent.
-        let (mut enb, videos, _) = cell(2, 0, 12);
-        let mut server = OneApiServer::new(FlareConfig::default().with_delta(0).with_robustness(
-            RobustnessConfig {
-                evict_bais: 100,
-                ..RobustnessConfig::default()
-            },
-        ));
+        // Both clients report until the one-step-up ramp has settled; then
+        // one goes silent while the other keeps reporting. Aging shrinks
+        // the silent client's cached link efficiency, so its level must
+        // never rise while silent and must fall before eviction.
+        let (mut enb, videos, _) = cell(2, 0, 5);
+        let mut server = OneApiServer::new(
+            FlareConfig::default()
+                .with_delta(0)
+                .with_robustness(RobustnessConfig),
+        );
         for &v in &videos {
             server.register_video(ClientInfo::new(v, BitrateLadder::testbed()));
         }
         let la = enb.link_adaptation().clone();
         let full = run_bai(&mut enb, 0);
-        server.bai_tick(Time::from_secs(10), Some(&full), BAI, &la, 50);
+        let ladder_len = BitrateLadder::testbed().len() as u64;
+        let mut level = 0;
+        for bai in 1..=ladder_len {
+            let msgs = server.bai_tick(Time::from_secs(bai * 10), Some(&full), BAI, &la, 50);
+            level = msgs.iter().find(|m| m.flow_id == 1).unwrap().level;
+        }
         let partial = only_flow(&full, videos[0]);
-        let mut silent_levels = Vec::new();
-        for bai in 2..14u64 {
-            let msgs = server.bai_tick(Time::from_secs(bai * 10), Some(&partial), BAI, &la, 50);
+        // Silent BAIs 1 ..= m − 1; the m-th would evict the client.
+        let mut silent_levels = vec![level];
+        for silent in 1..u64::from(RobustnessConfig::EVICT_BAIS) {
+            let now = Time::from_secs((ladder_len + silent) * 10);
+            let msgs = server.bai_tick(now, Some(&partial), BAI, &la, 50);
             silent_levels.push(msgs.iter().find(|m| m.flow_id == 1).unwrap().level);
         }
-        // The one-step-up ramp may climb for a few BAIs on the still-good
-        // cache, but compounding decay must win: once past its peak the
-        // level only falls, and it ends strictly below the peak.
-        let peak_at = silent_levels
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &l)| l)
-            .map(|(i, _)| i)
-            .unwrap();
-        let peak = silent_levels[peak_at];
         assert!(
-            silent_levels[peak_at..].windows(2).all(|w| w[1] <= w[0]),
-            "level must decay after its peak: {silent_levels:?}"
+            silent_levels.windows(2).all(|w| w[1] <= w[0]),
+            "level must never rise while silent: {silent_levels:?}"
         );
         assert!(
-            *silent_levels.last().unwrap() < peak,
+            *silent_levels.last().unwrap() < level,
             "aging must pull the silent client down: {silent_levels:?}"
         );
     }

@@ -297,7 +297,7 @@ impl InvariantSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flare_trace::TraceConfig;
+    use flare_trace::TraceLevel;
 
     /// Feeds `obs` in order to one fresh set and returns the name of every
     /// invariant that fired.
@@ -440,7 +440,7 @@ mod tests {
 
     #[test]
     fn violations_surface_as_trace_events_and_counters() {
-        let trace = TraceHandle::new(TraceConfig::info());
+        let trace = TraceHandle::new(TraceLevel::Info);
         let mut set = InvariantSet::new(trace.clone());
         let over_grant = Observation::TtiGrant {
             granted: 80,

@@ -8,12 +8,11 @@
 //!   including the exact ladders used by the paper's testbed and
 //!   simulations.
 //! * [`Mpd`] — the Media Presentation Description a client parses before
-//!   streaming, plus its privacy-preserving projection
-//!   ([`Mpd::anonymized_bitrates`]) that the FLARE plugin sends to the
-//!   OneAPI server.
+//!   streaming: the ladder and segment timing, nothing that identifies the
+//!   video.
 //! * [`estimator`] — client-side throughput estimators (sliding mean,
-//!   harmonic mean, EWMA, and the dual long/short window used by the
-//!   "GOOGLE" reference player).
+//!   harmonic mean, and the dual long/short window used by the "GOOGLE"
+//!   reference player).
 //! * [`PlaybackBuffer`] and [`Player`] — the client state machine: startup,
 //!   steady streaming, rebuffering, and per-segment statistics.
 //! * [`RateAdapter`] — the trait every adaptation algorithm (FESTIVE,

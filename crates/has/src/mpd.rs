@@ -4,16 +4,16 @@
 //! available encodings, and — crucially for privacy — sends the OneAPI
 //! server *only* the bitrate list, "after removing any information that can
 //! be used to identify the video" (Section III-A). [`Mpd`] models the
-//! parsed manifest; [`Mpd::anonymized_bitrates`] is that privacy-preserving
-//! projection.
+//! parsed manifest as the player uses it: encodings and segment timing,
+//! nothing that names the video. What the plugin discloses is
+//! `flare_core::ClientInfo`.
 
-use flare_sim::units::Rate;
 use flare_sim::TimeDelta;
 
 use crate::ladder::BitrateLadder;
 
-/// A parsed media presentation: the encodings, segment timing, and identity
-/// of one video.
+/// A parsed media presentation: the encodings and segment timing of one
+/// video.
 ///
 /// # Example
 ///
@@ -22,18 +22,15 @@ use crate::ladder::BitrateLadder;
 /// use flare_sim::TimeDelta;
 ///
 /// let mpd = Mpd::new(
-///     "big-buck-bunny".to_owned(),
 ///     BitrateLadder::testbed(),
 ///     TimeDelta::from_secs(10),
 ///     TimeDelta::from_secs(600),
 /// );
 /// assert_eq!(mpd.segment_count(), 60);
-/// // The anonymized view drops the title.
-/// assert_eq!(mpd.anonymized_bitrates().len(), 8);
+/// assert_eq!(mpd.ladder().len(), 8);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Mpd {
-    title: String,
     ladder: BitrateLadder,
     segment_duration: TimeDelta,
     media_duration: TimeDelta,
@@ -47,7 +44,6 @@ impl Mpd {
     /// Panics if the segment duration is zero or longer than the media, or
     /// if the media duration is zero.
     pub fn new(
-        title: String,
         ladder: BitrateLadder,
         segment_duration: TimeDelta,
         media_duration: TimeDelta,
@@ -62,16 +58,10 @@ impl Mpd {
             "segments cannot outlast the media"
         );
         Mpd {
-            title,
             ladder,
             segment_duration,
             media_duration,
         }
-    }
-
-    /// The (identifying) video title. This never leaves the client.
-    pub fn title(&self) -> &str {
-        &self.title
     }
 
     /// The available encodings.
@@ -84,11 +74,6 @@ impl Mpd {
         self.segment_duration
     }
 
-    /// Total media length.
-    pub fn media_duration(&self) -> TimeDelta {
-        self.media_duration
-    }
-
     /// Number of segments, rounding the final partial segment up.
     pub fn segment_count(&self) -> u64 {
         let whole = self.media_duration / self.segment_duration;
@@ -99,12 +84,6 @@ impl Mpd {
             whole + 1
         }
     }
-
-    /// The privacy-preserving projection the FLARE plugin sends to the
-    /// OneAPI server: bitrates only, no title, URL, or timing fingerprint.
-    pub fn anonymized_bitrates(&self) -> Vec<Rate> {
-        self.ladder.rates().to_vec()
-    }
 }
 
 #[cfg(test)]
@@ -113,7 +92,6 @@ mod tests {
 
     fn mpd(seg_s: u64, media_s: u64) -> Mpd {
         Mpd::new(
-            "title".to_owned(),
             BitrateLadder::simulation(),
             TimeDelta::from_secs(seg_s),
             TimeDelta::from_secs(media_s),
@@ -130,19 +108,8 @@ mod tests {
     #[test]
     fn accessors() {
         let m = mpd(10, 600);
-        assert_eq!(m.title(), "title");
         assert_eq!(m.segment_duration(), TimeDelta::from_secs(10));
-        assert_eq!(m.media_duration(), TimeDelta::from_secs(600));
         assert_eq!(m.ladder().len(), 6);
-    }
-
-    #[test]
-    fn anonymized_view_contains_only_rates() {
-        let m = mpd(10, 600);
-        let rates = m.anonymized_bitrates();
-        assert_eq!(rates.len(), 6);
-        assert_eq!(rates[0], Rate::from_kbps(100.0));
-        assert_eq!(rates[5], Rate::from_kbps(3000.0));
     }
 
     #[test]

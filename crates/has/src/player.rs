@@ -512,7 +512,6 @@ mod tests {
 
     fn mpd(media_s: u64) -> Mpd {
         Mpd::new(
-            "test".to_owned(),
             BitrateLadder::simulation(),
             TimeDelta::from_secs(10),
             TimeDelta::from_secs(media_s),
@@ -754,7 +753,6 @@ mod tests {
                         request_threshold: TimeDelta::from_millis(150 * request),
                     };
                     let mpd = Mpd::new(
-                        "oracle".to_owned(),
                         BitrateLadder::simulation(),
                         TimeDelta::from_millis(segment_ms),
                         TimeDelta::from_millis(segment_ms * segments),

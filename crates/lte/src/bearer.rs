@@ -21,20 +21,26 @@ pub struct BearerQos {
     pub mbr: Option<Rate>,
 }
 
+/// How much service a bucket banks: a flow's GBR credit and MBR allowance
+/// both cap at this much time at its rate. It bounds how far behind its
+/// guaranteed rate the MAC lets a flow fall before credit stops accruing.
+const BURST_WINDOW: TimeDelta = TimeDelta::from_millis(200);
+
 /// A byte-denominated token bucket.
 ///
-/// Tokens accrue at `rate` and cap at `burst`; consumers spend tokens as
-/// bytes are served. Used for both GBR credit (how much the cell *owes* a
-/// flow) and MBR allowance (how much a flow may still receive).
+/// Tokens accrue at `rate` and cap at `rate × BURST_WINDOW` (200 ms);
+/// consumers spend tokens as bytes are served. Used for both GBR credit (how
+/// much the cell *owes* a flow) and MBR allowance (how much a flow may still
+/// receive).
 ///
 /// # Example
 ///
 /// ```
 /// use flare_lte::bearer::TokenBucket;
 /// use flare_sim::units::{ByteCount, Rate};
-/// use flare_sim::{Time, TimeDelta};
+/// use flare_sim::Time;
 ///
-/// let mut tb = TokenBucket::new(Rate::from_mbps(1.0), TimeDelta::from_millis(200));
+/// let mut tb = TokenBucket::new(Rate::from_mbps(1.0));
 /// tb.advance(Time::from_millis(100));
 /// // 1 Mbps for 100 ms = 12,500 bytes accrued.
 /// assert_eq!(tb.available(), ByteCount::new(12_500));
@@ -44,8 +50,7 @@ pub struct BearerQos {
 #[derive(Debug, Clone)]
 pub struct TokenBucket {
     rate: Rate,
-    burst_window: TimeDelta,
-    /// `rate × burst_window` in bytes, recomputed only when the rate
+    /// `rate × BURST_WINDOW` in bytes, recomputed only when the rate
     /// changes so the per-TTI clamp is a compare, not two multiplies.
     cap: f64,
     /// Tokens accrued over one TTI, `rate × 1 ms / 8`: the same float
@@ -57,18 +62,12 @@ pub struct TokenBucket {
 }
 
 impl TokenBucket {
-    /// Creates a bucket that accrues at `rate` and holds at most
-    /// `rate × burst_window` bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `burst_window` is zero.
-    pub fn new(rate: Rate, burst_window: TimeDelta) -> Self {
-        assert!(!burst_window.is_zero(), "burst window must be non-zero");
+    /// Creates an empty bucket that accrues at `rate` and holds at most
+    /// `rate × BURST_WINDOW` bytes.
+    pub fn new(rate: Rate) -> Self {
         TokenBucket {
             rate,
-            burst_window,
-            cap: rate.as_bps() * burst_window.as_secs_f64() / 8.0,
+            cap: burst_cap(rate),
             tti_step: accrual(rate, TTI),
             tokens: 0.0,
             last: Time::ZERO,
@@ -79,7 +78,7 @@ impl TokenBucket {
     /// GBR Updater path).
     pub fn set_rate(&mut self, rate: Rate) {
         self.rate = rate;
-        self.cap = rate.as_bps() * self.burst_window.as_secs_f64() / 8.0;
+        self.cap = burst_cap(rate);
         self.tti_step = accrual(rate, TTI);
         self.clamp_to_burst();
     }
@@ -142,6 +141,11 @@ impl TokenBucket {
     }
 }
 
+/// Bytes a bucket filling at `rate` holds at most.
+fn burst_cap(rate: Rate) -> f64 {
+    rate.as_bps() * BURST_WINDOW.as_secs_f64() / 8.0
+}
+
 /// Bytes a bucket filling at `rate` accrues over `dt`.
 fn accrual(rate: Rate, dt: TimeDelta) -> f64 {
     rate.as_bps() * dt.as_secs_f64() / 8.0
@@ -153,14 +157,14 @@ mod tests {
 
     #[test]
     fn accrues_at_rate() {
-        let mut tb = TokenBucket::new(Rate::from_kbps(800.0), TimeDelta::from_secs(10));
-        tb.advance(Time::from_secs(1));
-        assert_eq!(tb.available(), ByteCount::new(100_000));
+        let mut tb = TokenBucket::new(Rate::from_kbps(800.0));
+        tb.advance(Time::from_millis(100));
+        assert_eq!(tb.available(), ByteCount::new(10_000));
     }
 
     #[test]
     fn burst_caps_accrual() {
-        let mut tb = TokenBucket::new(Rate::from_mbps(1.0), TimeDelta::from_millis(200));
+        let mut tb = TokenBucket::new(Rate::from_mbps(1.0));
         tb.advance(Time::from_secs(60));
         // Cap = 1 Mbps * 0.2 s / 8 = 25,000 bytes.
         assert_eq!(tb.available(), ByteCount::new(25_000));
@@ -168,7 +172,7 @@ mod tests {
 
     #[test]
     fn consume_and_negative_balance() {
-        let mut tb = TokenBucket::new(Rate::from_mbps(1.0), TimeDelta::from_millis(200));
+        let mut tb = TokenBucket::new(Rate::from_mbps(1.0));
         tb.advance(Time::from_millis(8));
         assert_eq!(tb.available(), ByteCount::new(1000));
         tb.consume(ByteCount::new(1500));
@@ -182,18 +186,18 @@ mod tests {
 
     #[test]
     fn set_rate_reclamps() {
-        let mut tb = TokenBucket::new(Rate::from_mbps(8.0), TimeDelta::from_millis(100));
+        let mut tb = TokenBucket::new(Rate::from_mbps(8.0));
         tb.advance(Time::from_secs(1));
-        assert_eq!(tb.available(), ByteCount::new(100_000));
+        assert_eq!(tb.available(), ByteCount::new(200_000));
         tb.set_rate(Rate::from_kbps(800.0));
-        // New cap = 800 kbps * 0.1 s / 8 = 10,000 bytes.
-        assert_eq!(tb.available(), ByteCount::new(10_000));
+        // New cap = 800 kbps * 0.2 s / 8 = 20,000 bytes.
+        assert_eq!(tb.available(), ByteCount::new(20_000));
         assert_eq!(tb.rate(), Rate::from_kbps(800.0));
     }
 
     #[test]
     fn drain_empties() {
-        let mut tb = TokenBucket::new(Rate::from_mbps(1.0), TimeDelta::from_secs(1));
+        let mut tb = TokenBucket::new(Rate::from_mbps(1.0));
         tb.advance(Time::from_millis(500));
         assert!(!tb.available().is_zero());
         tb.drain();
@@ -202,15 +206,9 @@ mod tests {
 
     #[test]
     fn zero_rate_never_accrues() {
-        let mut tb = TokenBucket::new(Rate::ZERO, TimeDelta::from_secs(1));
+        let mut tb = TokenBucket::new(Rate::ZERO);
         tb.advance(Time::from_secs(100));
         assert_eq!(tb.available(), ByteCount::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "burst window")]
-    fn zero_burst_window_panics() {
-        let _ = TokenBucket::new(Rate::from_mbps(1.0), TimeDelta::ZERO);
     }
 
     #[test]

@@ -344,10 +344,9 @@ mod tests {
 
     /// One channel of every model, built identically for the same `seed`.
     fn every_model(seed: u64) -> Vec<Box<dyn ChannelModel>> {
-        use crate::mobility::{MobilityChannel, MobilityConfig};
+        use crate::mobility::MobilityChannel;
         use crate::tbs::ITBS_MAX;
         use rand::Rng;
-        let mobility = MobilityConfig::default();
         // Entries 0–2 s apart (repeated times included) past the horizon.
         let mut rng = stream(seed, "trace", 0);
         let mut t = Time::ZERO;
@@ -366,7 +365,6 @@ mod tests {
             )),
             Box::new(TraceChannel::new(trace)),
             Box::new(MobilityChannel::new(
-                mobility,
                 stream(seed, "walk", 1),
                 stream(seed, "fade", 1),
             )),

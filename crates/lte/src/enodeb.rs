@@ -1,7 +1,7 @@
 //! The cell: per-TTI scheduling, delivery, counters, and enforcement knobs.
 
 use flare_sim::units::{ByteCount, Rate};
-use flare_sim::{Time, TimeDelta};
+use flare_sim::Time;
 use flare_trace::{Category, TraceHandle};
 
 use crate::bearer::{BearerQos, TokenBucket};
@@ -11,28 +11,17 @@ use crate::scheduler::{FlowTtiState, MacScheduler, RbAllocation};
 use crate::stats::{FlowIntervalStats, IntervalReport};
 use crate::tbs::{Itbs, LinkAdaptation};
 
-/// Burst window of the GBR credit bucket: how far behind its guaranteed
-/// rate the MAC lets a flow fall before credit stops accruing.
-const GBR_BURST_WINDOW: TimeDelta = TimeDelta::from_millis(200);
-/// Burst window of the MBR allowance bucket.
-const MBR_BURST_WINDOW: TimeDelta = TimeDelta::from_millis(200);
-
 /// Cell-wide radio configuration.
 #[derive(Debug, Clone)]
 pub struct CellConfig {
     /// Resource blocks available per TTI (50 for the paper's 10 MHz FDD
     /// femtocell).
     pub rbs_per_tti: u32,
-    /// iTbs → bits-per-RB mapping.
-    pub link_adaptation: LinkAdaptation,
 }
 
 impl Default for CellConfig {
     fn default() -> Self {
-        CellConfig {
-            rbs_per_tti: 50,
-            link_adaptation: LinkAdaptation::default(),
-        }
+        CellConfig { rbs_per_tti: 50 }
     }
 }
 
@@ -81,6 +70,8 @@ impl std::fmt::Debug for Box<dyn ChannelModel> {
 /// [`ENodeB::take_report`] once per bitrate assignment interval.
 pub struct ENodeB {
     config: CellConfig,
+    /// The 2×2 MIMO iTbs → bits-per-RB table.
+    link_adaptation: LinkAdaptation,
     scheduler: Box<dyn MacScheduler>,
     flows: Vec<FlowState>,
     report_start: Time,
@@ -141,6 +132,7 @@ impl ENodeB {
         );
         ENodeB {
             config,
+            link_adaptation: LinkAdaptation::default(),
             scheduler,
             flows: Vec::new(),
             report_start: Time::ZERO,
@@ -178,7 +170,7 @@ impl ENodeB {
             flow: id,
             class,
             backlog: ByteCount::ZERO,
-            bits_per_rb: self.config.link_adaptation.bits_per_rb(initial_itbs),
+            bits_per_rb: self.link_adaptation.bits_per_rb(initial_itbs),
             gbr_credit: ByteCount::ZERO,
         });
         self.flows.push(FlowState {
@@ -208,7 +200,7 @@ impl ENodeB {
 
     /// The link adaptation table (shared with network-side optimizers).
     pub fn link_adaptation(&self) -> &LinkAdaptation {
-        &self.config.link_adaptation
+        &self.link_adaptation
     }
 
     /// Sets or clears a flow's guaranteed bit rate (the Continuous GBR
@@ -234,7 +226,7 @@ impl ENodeB {
         match (gbr, st.gbr_bucket.as_mut()) {
             (Some(rate), Some(bucket)) => bucket.set_rate(rate),
             (Some(rate), None) => {
-                let mut bucket = TokenBucket::new(rate, GBR_BURST_WINDOW);
+                let mut bucket = TokenBucket::new(rate);
                 bucket.advance(now);
                 bucket.drain();
                 st.gbr_bucket = Some(bucket);
@@ -290,7 +282,7 @@ impl ENodeB {
         match (mbr, st.mbr_bucket.as_mut()) {
             (Some(rate), Some(bucket)) => bucket.set_rate(rate),
             (Some(rate), None) => {
-                let mut bucket = TokenBucket::new(rate, MBR_BURST_WINDOW);
+                let mut bucket = TokenBucket::new(rate);
                 bucket.advance(now);
                 // An MBR bucket starts full: the flow may immediately burst
                 // one window's worth.
@@ -405,7 +397,7 @@ impl ENodeB {
         let mut any_backlog = false;
         for (st, state) in self.flows.iter_mut().zip(&mut self.tti_states) {
             if now >= st.poll_at {
-                poll_channel(st, state, &self.config.link_adaptation, now);
+                poll_channel(st, state, &self.link_adaptation, now);
             }
             if let Some(b) = st.gbr_bucket.as_mut() {
                 b.advance(now);
@@ -565,7 +557,7 @@ impl ENodeB {
         let now = self.now;
         for (st, state) in self.flows.iter_mut().zip(&mut self.tti_states) {
             if now >= st.poll_at {
-                poll_channel(st, state, &self.config.link_adaptation, now);
+                poll_channel(st, state, &self.link_adaptation, now);
             }
         }
     }
@@ -611,7 +603,7 @@ mod tests {
     use super::*;
     use crate::channel::{StaticChannel, TriangleWave};
     use crate::scheduler::{ProportionalFair, TwoPhaseGbr};
-    use flare_sim::TTI;
+    use flare_sim::{TimeDelta, TTI};
 
     fn cell(scheduler: Box<dyn MacScheduler>) -> ENodeB {
         ENodeB::new(CellConfig::default(), scheduler)
@@ -935,7 +927,7 @@ mod tests {
     /// lifecycle events.
     fn leased_cell() -> (ENodeB, FlowId, TraceHandle) {
         let mut enb = cell(Box::new(TwoPhaseGbr::default()));
-        let trace = TraceHandle::new(flare_trace::TraceConfig::info());
+        let trace = TraceHandle::new(flare_trace::TraceLevel::Info);
         enb.set_trace(trace.clone());
         let f = enb.add_flow(FlowClass::Video, Box::new(StaticChannel::new(Itbs::new(5))));
         (enb, f, trace)

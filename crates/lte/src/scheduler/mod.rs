@@ -131,9 +131,12 @@ pub trait MacScheduler {
     fn name(&self) -> &'static str;
 }
 
+/// Time constant of the PF throughput average, in TTIs (1 ms each): the
+/// one-second window that is the common LTE and ns-3 PF default.
+const PF_WINDOW_TTIS: f64 = 1000.0;
+
 /// Shared helper: exponentially averaged per-flow throughput used by the PF
-/// metric. The time constant is in TTIs (1 ms each); ns-3's PF default is
-/// an effective window of about one second.
+/// metric, over [`PF_WINDOW_TTIS`].
 #[derive(Debug, Clone)]
 pub(crate) struct PfAverages {
     /// `1 − 1/tc`, precomputed so the per-flow-per-TTI update divides never.
@@ -143,16 +146,17 @@ pub(crate) struct PfAverages {
     avgs: Vec<f64>,
 }
 
-impl PfAverages {
-    pub(crate) fn new(tc_ttis: f64) -> Self {
-        assert!(tc_ttis >= 1.0, "PF time constant must be >= 1 TTI");
+impl Default for PfAverages {
+    fn default() -> Self {
         PfAverages {
-            decay: 1.0 - 1.0 / tc_ttis,
-            gain: 1.0 / tc_ttis,
+            decay: 1.0 - 1.0 / PF_WINDOW_TTIS,
+            gain: 1.0 / PF_WINDOW_TTIS,
             avgs: Vec::new(),
         }
     }
+}
 
+impl PfAverages {
     /// Grows the table to `len` flows. Called once per TTI, before that
     /// TTI's [`PfAverages::metric`], [`PfAverages::decay`] and
     /// [`PfAverages::credit`] calls.
@@ -404,7 +408,7 @@ pub(crate) mod testutil {
 mod tests {
     use super::testutil::*;
     use super::*;
-    use crate::tbs::{Itbs, LinkAdaptation, ITBS_MAX};
+    use crate::tbs::TBS_1PRB_BITS;
 
     #[test]
     fn rbs_for_bytes_round_trip() {
@@ -472,14 +476,11 @@ mod tests {
             few_bytes in 0u64..=200_000,
         ) {
             // Every TBS entry at a random spatial-multiplexing gain, and at
-            // the integral gains whose quotients are often exact.
-            for la in [
-                LinkAdaptation::new(gain),
-                LinkAdaptation::new(1.0),
-                LinkAdaptation::new(2.0),
-            ] {
-                for i in 0..=ITBS_MAX {
-                    let f = flow(0, FlowClass::Data, 0, la.bits_per_rb(Itbs::new(i)), 0);
+            // the integral gains whose quotients are often exact (2 is the
+            // cell's own 2×2 MIMO table).
+            for g in [gain, 1.0, 2.0] {
+                for &tbs in &TBS_1PRB_BITS {
+                    let f = flow(0, FlowClass::Data, 0, f64::from(tbs) * g, 0);
                     for r in [rbs, few_rbs] {
                         proptest::prop_assert_eq!(f.bytes_for_rbs(r), floor_bytes(&f, r));
                     }
@@ -503,7 +504,7 @@ mod tests {
             flow(1, FlowClass::Data, 0, 128.0, 0),
             flow(2, FlowClass::Data, 0, 128.0, 0),
         ];
-        scratch.begin_tti(&mut PfAverages::new(1000.0), &flows);
+        scratch.begin_tti(&mut PfAverages::default(), &flows);
         push_grant(&mut g, &mut scratch, FlowId(1), 3);
         push_grant(&mut g, &mut scratch, FlowId(1), 2);
         push_grant(&mut g, &mut scratch, FlowId(2), 0);
@@ -520,7 +521,7 @@ mod tests {
 
     #[test]
     fn pf_averages_prior_prevents_div_by_zero() {
-        let mut avg = PfAverages::new(1000.0);
+        let mut avg = PfAverages::default();
         let f = flow(0, FlowClass::Data, 100, 128.0, 0);
         avg.fit(1);
         let m = avg.metric(&f);
@@ -529,10 +530,11 @@ mod tests {
 
     #[test]
     fn pf_averages_decay_towards_service_rate() {
-        let mut avg = PfAverages::new(100.0);
+        let mut avg = PfAverages::default();
         let id = FlowId(0);
         avg.fit(1);
-        for _ in 0..5000 {
+        // Ten time constants: the prior's weight is below e^-10.
+        for _ in 0..10 * PF_WINDOW_TTIS as usize {
             avg.decay(1);
             avg.credit(id, 1000.0); // 1000 bits per TTI = 1 Mbps
         }

@@ -20,32 +20,11 @@ use super::{
 /// assert_eq!(pf.name(), "pf");
 /// assert!(pf.allocate(50, &[]).is_empty());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ProportionalFair {
     averages: PfAverages,
     /// Reused per-TTI scratch for the PF pass.
     scratch: PfScratch,
-}
-
-impl ProportionalFair {
-    /// Creates a PF scheduler with the given averaging time constant in TTIs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tc_ttis < 1`.
-    pub fn new(tc_ttis: f64) -> Self {
-        ProportionalFair {
-            averages: PfAverages::new(tc_ttis),
-            scratch: PfScratch::default(),
-        }
-    }
-}
-
-impl Default for ProportionalFair {
-    /// One-second averaging window (1000 TTIs), the common LTE default.
-    fn default() -> Self {
-        ProportionalFair::new(1000.0)
-    }
 }
 
 impl MacScheduler for ProportionalFair {
@@ -127,7 +106,7 @@ mod tests {
         // Two always-backlogged flows with equal channels should converge to
         // an equal RB split; with a 2x better channel the splits stay equal
         // in RBs (PF equalizes *time*, rates differ).
-        let mut pf = ProportionalFair::new(200.0);
+        let mut pf = ProportionalFair::default();
         let flows = vec![
             flow(0, FlowClass::Data, u64::MAX / 2, 128.0, 0),
             flow(1, FlowClass::Data, u64::MAX / 2, 256.0, 0),
@@ -144,7 +123,7 @@ mod tests {
 
     #[test]
     fn starved_flow_eventually_wins() {
-        let mut pf = ProportionalFair::new(100.0);
+        let mut pf = ProportionalFair::default();
         // Serve only flow 0 for a while by making flow 1 idle...
         let warm = vec![flow(0, FlowClass::Data, u64::MAX / 2, 128.0, 0)];
         for _ in 0..1000 {

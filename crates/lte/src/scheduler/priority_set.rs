@@ -28,7 +28,7 @@ use crate::flows::FlowId;
 /// assert_eq!(s.name(), "priority-set");
 /// assert!(s.allocate(50, &[]).is_empty());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PrioritySetScheduler {
     averages: PfAverages,
     /// Reused per-TTI scratch for the PF pass.
@@ -36,28 +36,6 @@ pub struct PrioritySetScheduler {
     /// Reused per-TTI priority set as sort keys `(Reverse(credit), flow
     /// id)`: most-starved first, ties by flow id.
     prio: Vec<(Reverse<ByteCount>, FlowId)>,
-}
-
-impl PrioritySetScheduler {
-    /// Creates the scheduler with a PF time constant in TTIs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tc_ttis < 1`.
-    pub fn new(tc_ttis: f64) -> Self {
-        PrioritySetScheduler {
-            averages: PfAverages::new(tc_ttis),
-            scratch: PfScratch::default(),
-            prio: Vec::new(),
-        }
-    }
-}
-
-impl Default for PrioritySetScheduler {
-    /// One-second PF averaging window.
-    fn default() -> Self {
-        PrioritySetScheduler::new(1000.0)
-    }
 }
 
 impl MacScheduler for PrioritySetScheduler {

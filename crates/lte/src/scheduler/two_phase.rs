@@ -23,32 +23,11 @@ use super::{
 /// assert_eq!(s.name(), "two-phase-gbr");
 /// assert!(s.allocate(50, &[]).is_empty());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TwoPhaseGbr {
     averages: PfAverages,
     /// Reused per-TTI scratch for the phase-2 PF pass.
     scratch: PfScratch,
-}
-
-impl TwoPhaseGbr {
-    /// Creates the scheduler with a PF time constant in TTIs for phase 2.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tc_ttis < 1`.
-    pub fn new(tc_ttis: f64) -> Self {
-        TwoPhaseGbr {
-            averages: PfAverages::new(tc_ttis),
-            scratch: PfScratch::default(),
-        }
-    }
-}
-
-impl Default for TwoPhaseGbr {
-    /// One-second PF averaging window.
-    fn default() -> Self {
-        TwoPhaseGbr::new(1000.0)
-    }
 }
 
 impl MacScheduler for TwoPhaseGbr {
@@ -103,31 +82,11 @@ impl MacScheduler for TwoPhaseGbr {
 /// Suppresses phase-2 sharing: GBR flows get exactly their credit and data
 /// flows split the rest, never vice versa. Used by the ablation that shows
 /// why the paper's opportunistic phase 2 matters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct StrictGbrPartition {
     averages: PfAverages,
     /// Reused per-TTI scratch for the phase-2 PF pass.
     scratch: PfScratch,
-}
-
-impl StrictGbrPartition {
-    /// Creates the strict-partition scheduler.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tc_ttis < 1`.
-    pub fn new(tc_ttis: f64) -> Self {
-        StrictGbrPartition {
-            averages: PfAverages::new(tc_ttis),
-            scratch: PfScratch::default(),
-        }
-    }
-}
-
-impl Default for StrictGbrPartition {
-    fn default() -> Self {
-        StrictGbrPartition::new(1000.0)
-    }
 }
 
 impl MacScheduler for StrictGbrPartition {

@@ -8,9 +8,9 @@
 //!
 //! *Substitution note (see DESIGN.md):* the real TBS table is mildly
 //! super-linear in `n_prb`; the linear approximation errs by < 10% and keeps
-//! the per-TTI scheduler exact-integer and fast. A configurable
-//! `spatial_multiplexing` factor models 2×2 MIMO so that cell capacities land
-//! in the range the paper's experiments exhibit.
+//! the per-TTI scheduler exact-integer and fast. A fixed spatial-multiplexing
+//! gain of 2 models 2×2 MIMO so that cell capacities land in the range the
+//! paper's experiments exhibit.
 
 use std::fmt;
 
@@ -22,7 +22,7 @@ pub const ITBS_MAX: u8 = 26;
 
 /// Transport block size in bits for one PRB over one TTI, per iTbs index.
 /// Source: 3GPP TS 36.213 Table 7.1.7.2.1-1, column N_PRB = 1.
-const TBS_1PRB_BITS: [u32; 27] = [
+pub(crate) const TBS_1PRB_BITS: [u32; 27] = [
     16, 24, 32, 40, 56, 72, 88, 104, 120, 136, 144, 176, 208, 224, 256, 280, 328, 336, 376, 408,
     440, 488, 520, 552, 584, 616, 712,
 ];
@@ -79,7 +79,12 @@ impl fmt::Display for Itbs {
     }
 }
 
-/// Maps an iTbs operating point to deliverable bits per resource block.
+/// Multiplier on the single-layer TBS, modelling spatial multiplexing: 2×2
+/// MIMO, the JL-620's configuration (see DESIGN.md's testbed calibration).
+const SPATIAL_MULTIPLEXING: f64 = 2.0;
+
+/// Maps an iTbs operating point to deliverable bits per resource block
+/// under 2×2 MIMO.
 ///
 /// # Example
 ///
@@ -88,42 +93,18 @@ impl fmt::Display for Itbs {
 /// use flare_sim::units::Rate;
 ///
 /// let la = LinkAdaptation::default();
-/// // Cell capacity at iTbs 12 with 50 RBs/TTI and default 2x MIMO:
+/// // Cell capacity at iTbs 12 with 50 RBs/TTI and 2x MIMO:
 /// let cap = la.cell_capacity(Itbs::new(12), 50);
 /// assert!((cap.as_mbps() - 20.8).abs() < 0.1);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinkAdaptation {
-    /// Multiplier on the single-layer TBS, modelling spatial multiplexing
-    /// (2.0 ≈ 2×2 MIMO, the JL-620's configuration).
-    spatial_multiplexing: f64,
-    /// `TBS_1PRB_BITS[i] * spatial_multiplexing`, precomputed once at
+    /// `TBS_1PRB_BITS[i] * SPATIAL_MULTIPLEXING`, precomputed once at
     /// construction so the per-TTI path is a plain indexed load.
     scaled_bits: [f64; TBS_1PRB_BITS.len()],
 }
 
 impl LinkAdaptation {
-    /// Creates a link adaptation table with the given spatial multiplexing
-    /// gain.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spatial_multiplexing` is not in `(0, 8]`.
-    pub fn new(spatial_multiplexing: f64) -> Self {
-        assert!(
-            spatial_multiplexing > 0.0 && spatial_multiplexing <= 8.0,
-            "spatial multiplexing gain must be in (0, 8]"
-        );
-        let mut scaled_bits = [0.0; TBS_1PRB_BITS.len()];
-        for (scaled, &bits) in scaled_bits.iter_mut().zip(TBS_1PRB_BITS.iter()) {
-            *scaled = f64::from(bits) * spatial_multiplexing;
-        }
-        LinkAdaptation {
-            spatial_multiplexing,
-            scaled_bits,
-        }
-    }
-
     /// Deliverable bits for one PRB over one TTI at the given operating point.
     pub fn bits_per_rb(&self, itbs: Itbs) -> f64 {
         self.scaled_bits[usize::from(itbs.0)]
@@ -138,9 +119,12 @@ impl LinkAdaptation {
 }
 
 impl Default for LinkAdaptation {
-    /// 2×2 MIMO, matching the testbed calibration in DESIGN.md.
     fn default() -> Self {
-        LinkAdaptation::new(2.0)
+        let mut scaled_bits = [0.0; TBS_1PRB_BITS.len()];
+        for (scaled, &bits) in scaled_bits.iter_mut().zip(TBS_1PRB_BITS.iter()) {
+            *scaled = f64::from(bits) * SPATIAL_MULTIPLEXING;
+        }
+        LinkAdaptation { scaled_bits }
     }
 }
 
@@ -175,11 +159,11 @@ mod tests {
 
     #[test]
     fn bits_per_rb_matches_table() {
-        let la = LinkAdaptation::new(1.0);
-        assert_eq!(la.bits_per_rb(Itbs::new(0)), 16.0);
-        assert_eq!(la.bits_per_rb(Itbs::new(26)), 712.0);
-        let la2 = LinkAdaptation::default();
-        assert_eq!(la2.bits_per_rb(Itbs::new(2)), 64.0);
+        // Twice the single-layer TBS column: 2×2 MIMO.
+        let la = LinkAdaptation::default();
+        assert_eq!(la.bits_per_rb(Itbs::new(0)), 32.0);
+        assert_eq!(la.bits_per_rb(Itbs::new(2)), 64.0);
+        assert_eq!(la.bits_per_rb(Itbs::new(26)), 1424.0);
     }
 
     #[test]
@@ -191,12 +175,6 @@ mod tests {
         // Peak of the dynamic cycle: iTbs 12 -> 20.8 Mbps.
         let peak = la.cell_capacity(Itbs::new(12), 50);
         assert!((peak.as_mbps() - 20.8).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "spatial multiplexing")]
-    fn invalid_spatial_gain_panics() {
-        let _ = LinkAdaptation::new(0.0);
     }
 
     proptest! {

@@ -85,30 +85,6 @@ impl Cdf {
     pub fn mean(&self) -> f64 {
         self.sorted.iter().sum::<f64>() / self.sorted.len() as f64
     }
-
-    /// Evaluates the CDF on an `n`-point grid spanning `[min, max]`,
-    /// returning `(x, P(X ≤ x))` pairs — the series a plotting script (or
-    /// the `repro` binary's tables) consumes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2`.
-    pub fn grid(&self, n: usize) -> Vec<(f64, f64)> {
-        assert!(n >= 2, "grid needs at least two points");
-        let lo = self.min();
-        let hi = self.max();
-        (0..n)
-            .map(|i| {
-                let x = lo + (hi - lo) * i as f64 / (n - 1) as f64;
-                (x, self.fraction_at_most(x))
-            })
-            .collect()
-    }
-
-    /// The sorted samples.
-    pub fn samples(&self) -> &[f64] {
-        &self.sorted
-    }
 }
 
 #[cfg(test)]
@@ -146,17 +122,6 @@ mod tests {
     }
 
     #[test]
-    fn grid_spans_range_and_is_monotone() {
-        let cdf = Cdf::from_samples(vec![1.0, 3.0, 3.5, 9.0, 2.2]);
-        let grid = cdf.grid(11);
-        assert_eq!(grid.len(), 11);
-        assert_eq!(grid[0].0, 1.0);
-        assert_eq!(grid[10].0, 9.0);
-        assert_eq!(grid[10].1, 1.0);
-        assert!(grid.windows(2).all(|w| w[1].1 >= w[0].1));
-    }
-
-    #[test]
     #[should_panic(expected = "at least one sample")]
     fn empty_sample_panics() {
         let _ = Cdf::from_samples(vec![]);
@@ -174,10 +139,6 @@ mod tests {
         assert_eq!(cdf.percentile(100.0), 42.0);
         assert_eq!(cdf.fraction_at_most(41.9), 0.0);
         assert_eq!(cdf.fraction_at_most(42.0), 1.0);
-        // The grid degenerates to a flat span but stays well-formed.
-        let grid = cdf.grid(3);
-        assert_eq!(grid.len(), 3);
-        assert!(grid.iter().all(|&(x, f)| x == 42.0 && f == 1.0));
     }
 
     #[test]

@@ -7,11 +7,10 @@
 //! This crate computes those quantities:
 //!
 //! * [`jain_index`] — Jain's fairness index.
-//! * [`Cdf`] — an empirical CDF with percentile queries and fixed-grid
-//!   evaluation for table output.
+//! * [`Cdf`] — an empirical CDF with percentile queries.
 //! * [`Summary`] — mean / standard deviation / extrema of a sample.
 //! * [`TimeSeries`] — `(time, value)` traces for the Figure 4/5-style
-//!   plots, with averaging and resampling helpers.
+//!   plots.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -43,13 +43,13 @@ pub fn cell_config(
 
 /// One static-scenario run: stationary UEs at seeded random positions.
 pub fn static_run(scheme: SchemeKind, seed: u64, duration: TimeDelta) -> RunResult {
-    let channel = ChannelKind::StationaryRandom(MobilityConfig::default());
+    let channel = ChannelKind::StationaryRandom(MobilityConfig);
     CellSim::new(cell_config(scheme, channel, 8, 0, seed, duration)).run()
 }
 
 /// One mobile-scenario run: vehicular random-waypoint UEs.
 pub fn mobile_run(scheme: SchemeKind, seed: u64, duration: TimeDelta) -> RunResult {
-    let channel = ChannelKind::Mobile(MobilityConfig::default());
+    let channel = ChannelKind::Mobile(MobilityConfig);
     CellSim::new(cell_config(scheme, channel, 8, 0, seed, duration)).run()
 }
 
@@ -61,7 +61,7 @@ pub fn mixed_run(
     seed: u64,
     duration: TimeDelta,
 ) -> RunResult {
-    let channel = ChannelKind::StationaryRandom(MobilityConfig::default());
+    let channel = ChannelKind::StationaryRandom(MobilityConfig);
     CellSim::new(cell_config(
         scheme, channel, n_video, n_data, seed, duration,
     ))

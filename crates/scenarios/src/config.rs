@@ -4,7 +4,6 @@
 use flare_core::{ClientPrefs, FaultModel, FlareConfig};
 use flare_has::{BitrateLadder, PlayerConfig};
 use flare_lte::mobility::MobilityConfig;
-use flare_lte::CellConfig;
 use flare_sim::TimeDelta;
 use flare_trace::TraceHandle;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -113,8 +112,6 @@ pub struct SimConfig {
     pub duration: TimeDelta,
     /// Bitrate assignment interval for network-side schemes.
     pub bai: TimeDelta,
-    /// Radio configuration.
-    pub cell: CellConfig,
     /// MAC scheduling policy.
     pub scheduler: SchedulerKind,
     /// Encodings available to every video.
@@ -150,7 +147,7 @@ pub struct SimConfig {
     /// Defaults to a detached handle, in which case the simulation attaches
     /// an internal registry-only recorder (counters and histograms, no
     /// event ring) so end-of-run telemetry is always available. Attach a
-    /// recording handle (e.g. `TraceHandle::new(TraceConfig::info())`) to
+    /// recording handle (e.g. `TraceHandle::new(TraceLevel::Info)`) to
     /// capture the structured event stream as well.
     pub trace: TraceHandle,
     /// Runs the `flare-harness` runtime invariant battery inline: per-TTI RB
@@ -184,14 +181,13 @@ impl Default for SimConfigBuilder {
                 seed: 1,
                 duration: TimeDelta::from_secs(1200),
                 bai: TimeDelta::from_secs(10),
-                cell: CellConfig::default(),
                 scheduler: SchedulerKind::PrioritySet,
                 ladder: BitrateLadder::simulation(),
                 segment: TimeDelta::from_secs(10),
                 player: PlayerConfig::default(),
                 n_video: 8,
                 n_data: 0,
-                channel: ChannelKind::StationaryRandom(MobilityConfig::default()),
+                channel: ChannelKind::StationaryRandom(MobilityConfig),
                 scheme: SchemeKind::Flare(FlareConfig::default()),
                 prefs: Vec::new(),
                 legacy_video: 0,
@@ -363,10 +359,8 @@ mod tests {
         assert_eq!(SchemeKind::Avis.name(), "AVIS");
         assert_eq!(SchemeKind::FlareGbrOnly.name(), "FLARE-GBR-ONLY");
         assert_eq!(
-            SchemeKind::Flare(
-                FlareConfig::default().with_robustness(flare_core::RobustnessConfig::default())
-            )
-            .name(),
+            SchemeKind::Flare(FlareConfig::default().with_robustness(flare_core::RobustnessConfig))
+                .name(),
             "FLARE-R"
         );
     }

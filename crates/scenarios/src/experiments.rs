@@ -763,7 +763,7 @@ pub fn legacy_coexistence(p: ExperimentParams) -> LegacyCoexistence {
             .videos(8)
             .legacy_video(4)
             .data_flows(0)
-            .channel(ChannelKind::StationaryRandom(MobilityConfig::default()))
+            .channel(ChannelKind::StationaryRandom(MobilityConfig))
             .scheme(SchemeKind::Flare(flare_core::FlareConfig::default()))
             .build();
         crate::runner::CellSim::new(config).run()
@@ -910,7 +910,7 @@ pub fn ablation_diversity(p: ExperimentParams) -> DiversityAblation {
             .videos(8)
             .data_flows(0)
             .scheduler(scheduler)
-            .channel(ChannelKind::Mobile(MobilityConfig::default()))
+            .channel(ChannelKind::Mobile(MobilityConfig))
             .scheme(SchemeKind::Festive)
             .build();
         crate::runner::CellSim::new(config).run()

@@ -107,7 +107,7 @@ impl FaultFigure {
 /// The three schemes compared at every fault point, FLARE-R first.
 fn schemes() -> Vec<SchemeKind> {
     vec![
-        SchemeKind::Flare(FlareConfig::default().with_robustness(RobustnessConfig::default())),
+        SchemeKind::Flare(FlareConfig::default().with_robustness(RobustnessConfig)),
         SchemeKind::Flare(FlareConfig::default()),
         SchemeKind::Festive,
     ]
@@ -129,7 +129,7 @@ fn faulty_config(
         .duration(duration)
         .videos(8)
         .data_flows(0)
-        .channel(ChannelKind::Mobile(MobilityConfig::default()))
+        .channel(ChannelKind::Mobile(MobilityConfig))
         .scheme(scheme)
         .faults(faults.clone())
         .build()

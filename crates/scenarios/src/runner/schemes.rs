@@ -36,7 +36,7 @@ pub(super) enum MsgCells {
     Naive(Vec<SharedAssignment>),
     /// Resilient (FLARE-R): versioned cells with staleness fallback, GBR
     /// leases, and the server's degrading `bai_tick`.
-    Versioned(Vec<VersionedAssignment>, RobustnessConfig),
+    Versioned(Vec<VersionedAssignment>),
 }
 
 impl MsgCells {
@@ -44,9 +44,9 @@ impl MsgCells {
     pub(super) fn for_scheme(scheme: &SchemeKind) -> Self {
         match scheme {
             SchemeKind::Flare(FlareConfig {
-                robustness: Some(r),
+                robustness: Some(RobustnessConfig),
                 ..
-            }) => MsgCells::Versioned(Vec::new(), *r),
+            }) => MsgCells::Versioned(Vec::new()),
             _ => MsgCells::Naive(Vec::new()),
         }
     }
@@ -59,8 +59,8 @@ impl MsgCells {
                 cs.push(cell.clone());
                 Box::new(FlarePlugin::new(cell))
             }
-            MsgCells::Versioned(cs, r) => {
-                let cell = VersionedAssignment::new(r.stale_bais, r.rejoin_bais);
+            MsgCells::Versioned(cs) => {
+                let cell = VersionedAssignment::new();
                 cs.push(cell.clone());
                 Box::new(ResilientPlugin::new(cell))
             }
@@ -255,7 +255,7 @@ impl CellSim {
                                 .u64("gbr_kbps", u64::from(a.gbr_kbps));
                         });
                 }
-                MsgCells::Versioned(cs, r) => {
+                MsgCells::Versioned(cs) => {
                     // Client and PCEF share the versioned view: a stale
                     // assignment neither moves the plugin nor touches QoS.
                     let prev_seq = cs[idx].seq();
@@ -273,7 +273,7 @@ impl CellSim {
                     }
                     if accepted {
                         let lease = TimeDelta::from_millis(
-                            self.config.bai.as_millis() * u64::from(r.lease_bais),
+                            self.config.bai.as_millis() * u64::from(RobustnessConfig::LEASE_BAIS),
                         );
                         self.enb.set_gbr_lease(flow, rate, now + lease);
                         self.trace.incr("plugin.installs", 1);

@@ -43,7 +43,7 @@ pub fn alpha_sweep(
                     .duration(duration)
                     .videos(n_video)
                     .data_flows(n_data)
-                    .channel(ChannelKind::StationaryRandom(MobilityConfig::default()))
+                    .channel(ChannelKind::StationaryRandom(MobilityConfig))
                     .scheme(SchemeKind::Flare(config))
                     .build();
                 CellSim::new(sim).run()
@@ -93,7 +93,7 @@ pub fn delta_sweep(
                     .duration(duration)
                     .videos(8)
                     .data_flows(0)
-                    .channel(ChannelKind::Mobile(MobilityConfig::default()))
+                    .channel(ChannelKind::Mobile(MobilityConfig))
                     .scheme(SchemeKind::Flare(config))
                     .build();
                 CellSim::new(sim).run()
@@ -136,9 +136,9 @@ pub fn solver_comparison(
 ) -> SolverComparison {
     let channel = || {
         if mobile {
-            ChannelKind::Mobile(MobilityConfig::default())
+            ChannelKind::Mobile(MobilityConfig)
         } else {
-            ChannelKind::StationaryRandom(MobilityConfig::default())
+            ChannelKind::StationaryRandom(MobilityConfig)
         }
     };
     let run = |mode: SolveMode, seed: u64| {

@@ -12,7 +12,7 @@
 
 use flare_core::{FaultModel, FlareConfig, RobustnessConfig};
 use flare_lte::mobility::MobilityConfig;
-use flare_trace::{TraceConfig, TraceHandle};
+use flare_trace::{TraceHandle, TraceLevel};
 
 use crate::cell::cell_config;
 use crate::config::{ChannelKind, SchemeKind, SimConfig};
@@ -67,7 +67,7 @@ fn representative_config(experiment: &str, p: &ExperimentParams) -> Option<SimCo
     let static_cell = |scheme: SchemeKind, n_video: usize, n_data: usize| {
         cell_config(
             scheme,
-            ChannelKind::StationaryRandom(MobilityConfig::default()),
+            ChannelKind::StationaryRandom(MobilityConfig),
             n_video,
             n_data,
             p.seed,
@@ -80,7 +80,7 @@ fn representative_config(experiment: &str, p: &ExperimentParams) -> Option<SimCo
         "fig6" | "fig8" | "fig9" | "fig11" | "fig12" => static_cell(flare, 8, 0),
         "fig7" => cell_config(
             flare,
-            ChannelKind::Mobile(MobilityConfig::default()),
+            ChannelKind::Mobile(MobilityConfig),
             8,
             0,
             p.seed,
@@ -95,9 +95,7 @@ fn representative_config(experiment: &str, p: &ExperimentParams) -> Option<SimCo
         }
         "faults" => {
             let mut cfg = static_cell(
-                SchemeKind::Flare(
-                    FlareConfig::default().with_robustness(RobustnessConfig::default()),
-                ),
+                SchemeKind::Flare(FlareConfig::default().with_robustness(RobustnessConfig)),
                 8,
                 0,
             );
@@ -114,7 +112,7 @@ fn representative_config(experiment: &str, p: &ExperimentParams) -> Option<SimCo
 /// recorder and returns its trace, or `None` for unknown experiments.
 pub fn representative_trace(experiment: &str, p: &ExperimentParams) -> Option<TraceArtifact> {
     let mut config = representative_config(experiment, p)?;
-    let trace = TraceHandle::new(TraceConfig::info());
+    let trace = TraceHandle::new(TraceLevel::Info);
     config.trace = trace.clone();
     let scheme = config.scheme.name().to_owned();
     let result = CellSim::new(config).run();

@@ -171,10 +171,10 @@ impl TraceEvent {
 /// Chaining builder used inside [`TraceHandle::record`] closures.
 ///
 /// ```
-/// use flare_trace::{Category, TraceConfig, TraceHandle};
+/// use flare_trace::{Category, TraceHandle, TraceLevel};
 /// use flare_sim::Time;
 ///
-/// let trace = TraceHandle::new(TraceConfig::info());
+/// let trace = TraceHandle::new(TraceLevel::Info);
 /// trace.record(Time::from_secs(10), Category::Solver, "solve", |e| {
 ///     e.u64("clients", 8).f64("r", 0.42).str("mode", "exact");
 /// });

@@ -41,7 +41,7 @@ mod registry;
 
 pub use event::{Category, EventBuilder, TraceEvent, TraceLevel, Value};
 pub use export::{parse_jsonl, to_json_line, to_jsonl, ParseError};
-pub use recorder::{TraceConfig, TraceHandle};
+pub use recorder::TraceHandle;
 pub use registry::{HistogramSummary, RegistrySnapshot};
 
 #[cfg(test)]
@@ -52,7 +52,7 @@ mod tests {
     /// End-to-end: record through a handle, export, parse, compare.
     #[test]
     fn record_export_parse_round_trip() {
-        let trace = TraceHandle::new(TraceConfig::debug());
+        let trace = TraceHandle::new(TraceLevel::Debug);
         trace.record(Time::from_secs(10), Category::Solver, "solve", |e| {
             e.u64("clients", 8).f64("r", 0.4251).str("mode", "exact");
         });
@@ -72,7 +72,7 @@ mod tests {
     #[test]
     fn identical_sequences_are_byte_identical() {
         let run = || {
-            let trace = TraceHandle::new(TraceConfig::info());
+            let trace = TraceHandle::new(TraceLevel::Info);
             for i in 0..100u64 {
                 trace.record(Time::from_millis(i * 7), Category::Player, "segment", |e| {
                     e.u64("ue", i % 4)

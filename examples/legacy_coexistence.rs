@@ -19,7 +19,7 @@ fn main() {
         .duration(TimeDelta::from_secs(600))
         .videos(8)
         .legacy_video(4) // the last four players run plain FESTIVE
-        .channel(ChannelKind::StationaryRandom(MobilityConfig::default()))
+        .channel(ChannelKind::StationaryRandom(MobilityConfig))
         .scheme(SchemeKind::Flare(FlareConfig::default()))
         .build();
     let result = CellSim::new(config).run();

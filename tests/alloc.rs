@@ -146,7 +146,7 @@ fn main() {
     let stepper_cell = |n_data: usize| {
         cell_config(
             SchemeKind::Flare(FlareConfig::default()),
-            ChannelKind::StationaryRandom(MobilityConfig::default()),
+            ChannelKind::StationaryRandom(MobilityConfig),
             8,
             n_data,
             1,
@@ -162,9 +162,9 @@ fn main() {
             .duration(TimeDelta::from_secs(40))
             .videos(8)
             .data_flows(0)
-            .channel(ChannelKind::Mobile(MobilityConfig::default()))
+            .channel(ChannelKind::Mobile(MobilityConfig))
             .scheme(SchemeKind::Flare(
-                FlareConfig::default().with_robustness(RobustnessConfig::default()),
+                FlareConfig::default().with_robustness(RobustnessConfig),
             ))
             .faults(FaultModel::perfect().with_drop_prob(0.2))
             .build(),

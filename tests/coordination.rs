@@ -28,7 +28,6 @@ fn assigned_level_is_what_the_player_requests() {
 
     let assignment = SharedAssignment::new();
     let mpd = Mpd::new(
-        "coordination".into(),
         ladder.clone(),
         TimeDelta::from_secs(10),
         TimeDelta::from_secs(400),

@@ -147,9 +147,7 @@ fn mobile_cell_full_pipeline() {
         .duration(TimeDelta::from_secs(120))
         .videos(4)
         .data_flows(1)
-        .channel(ChannelKind::Mobile(
-            flare_lte::mobility::MobilityConfig::default(),
-        ))
+        .channel(ChannelKind::Mobile(flare_lte::mobility::MobilityConfig))
         .scheme(SchemeKind::Flare(FlareConfig::default()))
         .build();
     let r = CellSim::new(cfg).run();

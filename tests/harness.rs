@@ -6,13 +6,13 @@ use flare_harness::{run_indexed, serial_parallel_divergence};
 use flare_scenarios::experiments::ExperimentParams;
 use flare_scenarios::{ChannelKind, SchemeKind, SimConfig};
 use flare_sim::TimeDelta;
-use flare_trace::{TraceConfig, TraceHandle};
+use flare_trace::{TraceHandle, TraceLevel};
 
 /// Builds one fully traced run inside the job closure — the simulation, its
 /// RNG streams, and the recorder are all owned by the job, which is what
 /// makes parallel execution bit-identical to serial.
 fn traced_run(seed: u64, check_invariants: bool) -> String {
-    let trace = TraceHandle::new(TraceConfig::info());
+    let trace = TraceHandle::new(TraceLevel::Info);
     let config = SimConfig::builder()
         .seed(seed)
         .duration(TimeDelta::from_secs(60))

@@ -6,7 +6,7 @@
 use flare_core::{FaultModel, FlareConfig, RobustnessConfig};
 use flare_scenarios::{CellSim, ChannelKind, SchemeKind, SimConfig};
 use flare_sim::TimeDelta;
-use flare_trace::{Category, TraceConfig, TraceHandle};
+use flare_trace::{Category, TraceHandle, TraceLevel};
 
 /// A faulty FLARE-R run: exercises every instrumented category (MAC, solver,
 /// control, plugin, player, enforcement).
@@ -19,7 +19,7 @@ fn faulty_config(trace: TraceHandle) -> SimConfig {
         .data_flows(1)
         .channel(ChannelKind::Static { itbs: 10 })
         .scheme(SchemeKind::Flare(
-            FlareConfig::default().with_robustness(RobustnessConfig::default()),
+            FlareConfig::default().with_robustness(RobustnessConfig),
         ))
         .faults(
             FaultModel::perfect()
@@ -33,7 +33,7 @@ fn faulty_config(trace: TraceHandle) -> SimConfig {
 #[test]
 fn same_seed_runs_trace_byte_identically() {
     let run = || {
-        let trace = TraceHandle::new(TraceConfig::debug());
+        let trace = TraceHandle::new(TraceLevel::Debug);
         CellSim::new(faulty_config(trace.clone())).run();
         trace.to_jsonl()
     };
@@ -44,7 +44,7 @@ fn same_seed_runs_trace_byte_identically() {
 
 #[test]
 fn real_traces_round_trip_through_jsonl() {
-    let trace = TraceHandle::new(TraceConfig::info());
+    let trace = TraceHandle::new(TraceLevel::Info);
     CellSim::new(faulty_config(trace.clone())).run();
     let jsonl = trace.to_jsonl();
     let parsed = flare_trace::parse_jsonl(&jsonl).expect("trace must parse");
@@ -68,7 +68,7 @@ fn real_traces_round_trip_through_jsonl() {
 
 #[test]
 fn telemetry_counters_agree_with_the_robustness_report() {
-    let result = CellSim::new(faulty_config(TraceHandle::new(TraceConfig::info()))).run();
+    let result = CellSim::new(faulty_config(TraceHandle::new(TraceLevel::Info))).run();
     let r = result.robustness.expect("message path reports telemetry");
     let t = &result.telemetry;
     assert_eq!(t.counter("control.delivered"), r.delivered);

@@ -15,7 +15,7 @@ use flare_lte::{CellConfig, ENodeB, FlowClass, FlowId, Itbs};
 use flare_scenarios::{CellSim, ChannelKind, SchemeKind, SimConfig};
 use flare_sim::units::ByteCount;
 use flare_sim::{Time, TimeDelta};
-use flare_trace::{Category, TraceConfig, TraceHandle};
+use flare_trace::{Category, TraceHandle, TraceLevel};
 use proptest::prelude::*;
 
 fn keep_backlogged(enb: &mut ENodeB, flows: &[FlowId]) {
@@ -195,7 +195,7 @@ fn dropped_assignments_trigger_fallback_and_hysteresis_rejoins() {
     // The plugin-side state machine end to end: a client obeys fresh
     // assignments, degrades to capped self-adaptation when assignments
     // stop arriving, and rejoins only after a hysteresis streak.
-    let cell = VersionedAssignment::new(3, 2);
+    let cell = VersionedAssignment::new();
     let mut plugin = ResilientPlugin::new(cell.clone());
     let ladder = BitrateLadder::simulation();
     let ctx = AdaptContext {
@@ -254,7 +254,7 @@ fn server_outage_forces_fallback_and_expires_gbr_leases() {
         .videos(4)
         .data_flows(2)
         .scheme(SchemeKind::Flare(
-            FlareConfig::default().with_robustness(RobustnessConfig::default()),
+            FlareConfig::default().with_robustness(RobustnessConfig),
         ))
         .faults(FaultModel::perfect().with_outage(outage))
         .build();
@@ -293,13 +293,13 @@ fn reordered_assignments_are_rejected_not_rolled_back() {
     // Every message is delayed by up to 25 s — more than two BAIs — so
     // newer assignments regularly overtake older ones. The versioned cell
     // must reject the late arrivals instead of rolling clients back.
-    let trace = TraceHandle::new(TraceConfig::info());
+    let trace = TraceHandle::new(TraceLevel::Info);
     let config = SimConfig::builder()
         .seed(9)
         .duration(TimeDelta::from_secs(300))
         .videos(4)
         .scheme(SchemeKind::Flare(
-            FlareConfig::default().with_robustness(RobustnessConfig::default()),
+            FlareConfig::default().with_robustness(RobustnessConfig),
         ))
         .faults(FaultModel::perfect().with_jitter(TimeDelta::from_secs(25)))
         .trace(trace.clone())
@@ -354,11 +354,13 @@ proptest! {
         rates in prop::collection::vec(50u64..10_000, 1..8),
         buffer_secs in 0u64..60,
     ) {
-        let cell = VersionedAssignment::new(1, 1);
+        let cell = VersionedAssignment::new();
         let mut plugin = ResilientPlugin::new(cell.clone());
         cell.install(1, Level::new(cap));
         cell.end_bai(); // consumes the install as fresh
-        cell.end_bai(); // silent -> stale -> fallback
+        for _ in 0..VersionedAssignment::STALE_BAIS {
+            cell.end_bai(); // silent -> stale -> fallback
+        }
         prop_assert_eq!(cell.mode(), CoordinationMode::Fallback);
         for r in &rates {
             plugin.on_download_complete(observed(*r));
@@ -392,7 +394,7 @@ proptest! {
             .duration(TimeDelta::from_secs(80))
             .videos(2)
             .scheme(SchemeKind::Flare(
-                FlareConfig::default().with_robustness(RobustnessConfig::default()),
+                FlareConfig::default().with_robustness(RobustnessConfig),
             ))
             .faults(
                 FaultModel::perfect()
@@ -468,7 +470,7 @@ fn overloaded_bais_return_floors_and_are_counted() {
         .map(|_| enb.add_flow(FlowClass::Video, Box::new(StaticChannel::new(Itbs::new(0)))))
         .collect();
     let mut server = OneApiServer::new(FlareConfig::default());
-    let trace = TraceHandle::new(TraceConfig::info());
+    let trace = TraceHandle::new(TraceLevel::Info);
     server.set_trace(trace.clone());
     for &f in &flows {
         server.register_video(ClientInfo::new(f, BitrateLadder::simulation()));
@@ -514,7 +516,7 @@ fn overloaded_cell_runs_end_to_end_at_the_floors() {
         .check_invariants(true)
         .build();
     let lowest = config.ladder.rate(config.ladder.lowest()).as_kbps();
-    let trace = TraceHandle::new(TraceConfig::info());
+    let trace = TraceHandle::new(TraceLevel::Info);
     let mut config = config;
     config.trace = trace.clone();
     let result = CellSim::new(config).run();
